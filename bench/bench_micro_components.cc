@@ -11,7 +11,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -82,7 +84,8 @@ void BM_RouteEnumeration(benchmark::State& state) {
   auto topo = topo::MakeDgx1V();
   int src = 0;
   for (auto _ : state) {
-    // Rotate pairs; the per-pair cache makes steady-state cost visible.
+    // Rotate pairs; every call enumerates afresh (the topology keeps no
+    // cache; the routing policies' route tables are the only one).
     const int dst = (src + 5) % 8;
     benchmark::DoNotOptimize(topo->EnumerateRoutes(src, dst, 3));
     src = (src + 1) % 8;
@@ -308,6 +311,7 @@ void EnsureSimCoreReport() {
     r.Meta("sim.parallel_events_per_s", "events/s wall", true);
     r.Meta("net.parallel_events_per_s", "events/s wall", true);
     r.Meta("net.parallel_packets_per_s", "packets/s wall", true);
+    r.Meta("net.route_decisions_per_s", "decisions/s wall", true);
     return true;
   }();
   (void)once;
@@ -685,6 +689,84 @@ void BM_TransferEngineShuffleSampled(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(packets));
 }
 BENCHMARK(BM_TransferEngineShuffleSampled);
+
+// Loaded counterpart of BM_AdaptiveRoutingDecision: every ordered DGX-1V
+// pair has queued reservations whose delays have been broadcast, so the
+// published delays the adaptive policy reads are non-zero, and the batch
+// size cycles 1..8 as it does while source queues drain. The rate is
+// recorded as net.route_decisions_per_s (wall-clock, warn-only).
+struct LoadedFabric {
+  std::unique_ptr<topo::Topology> topo = topo::MakeDgx1V();
+  sim::Simulator s;
+  net::LinkStateTable links{&s, topo.get()};
+
+  LoadedFabric() {
+    for (int a = 0; a < 8; ++a) {
+      for (int b = 0; b < 8; ++b) {
+        if (a == b) continue;
+        links.ReserveChannel(topo->channel(a, b),
+                             (1 + (a * 8 + b) % 5) * kMiB);
+      }
+    }
+    s.RunUntil(s.Now() + 5 * sim::kMicrosecond);  // broadcasts land
+  }
+};
+
+// Decision `i` walks n = 1..8 over all 56 ordered pairs (448 distinct
+// inputs). Returns the summed route lengths so the work is observable.
+std::uint64_t RunRouteDecisions(net::RoutingPolicy& policy,
+                                const LoadedFabric& f, std::uint64_t first,
+                                std::uint64_t count) {
+  std::uint64_t gpus = 0;
+  for (std::uint64_t i = first; i < first + count; ++i) {
+    const int src = static_cast<int>(i % 8);
+    const int dst = static_cast<int>((src + 1 + (i / 8) % 7) % 8);
+    const int n = static_cast<int>(1 + (i / 56) % 8);
+    gpus += policy.ChooseRoute(src, dst, 2 * kMiB, n, f.links).gpus.size();
+  }
+  return gpus;
+}
+
+void RecordRouteDecisionPoint() {
+  static bool recorded = false;
+  if (recorded) return;
+  recorded = true;
+  EnsureSimCoreReport();
+  LoadedFabric f;
+  auto policy = net::MakePolicy(net::PolicyKind::kAdaptive);
+  constexpr std::uint64_t kDecisions = 1 << 18;
+  RunRouteDecisions(*policy, f, 0, 448);  // warmup outside the timing
+  double best = 0.0;
+  for (int rep = 0; rep < 3; ++rep) {
+    const auto t0 = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(RunRouteDecisions(*policy, f, 0, kDecisions));
+    const double secs =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+    best = std::max(best, static_cast<double>(kDecisions) / secs);
+  }
+  bench::BenchReport::Instance().Point("net.route_decisions_per_s",
+                                       "adaptive8_loaded", best);
+}
+
+void BM_AdaptiveRoutingDecisionLoaded(benchmark::State& state) {
+  RecordRouteDecisionPoint();
+  LoadedFabric f;
+  sim::SimTime published = 0;
+  for (int l = 0; l < f.topo->num_links(); ++l) {
+    for (int d = 0; d < 2; ++d) {
+      published += f.links.PublishedQueueDelay(topo::LinkDir{l, d});
+    }
+  }
+  MGJ_CHECK(published > 0) << "loaded fabric published no queue delay";
+  auto policy = net::MakePolicy(net::PolicyKind::kAdaptive);
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(RunRouteDecisions(*policy, f, i++, 1));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_AdaptiveRoutingDecisionLoaded);
 
 // Parallel-core counterpart of the 8-GPU shuffle: one partition per
 // GPU endpoint, one chain per peer (7 x 8), per-event payload work in

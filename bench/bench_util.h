@@ -241,6 +241,9 @@ class BenchReport {
 
  private:
   BenchReport() : start_(std::chrono::steady_clock::now()) {
+    // The destructor reads the global profiler: construct it first so it
+    // is destroyed after this singleton, not before.
+    WallProfiler::Global();
     const char* d = std::getenv("MGJ_BENCH_JSON");
     if (d != nullptr && *d != '\0') dir_ = d;
     const char* gc = std::getenv("MGJ_GIT_COMMIT");

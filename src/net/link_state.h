@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -140,6 +141,37 @@ class LinkStateTable {
   /// Queuing delay as last broadcast to remote GPUs.
   sim::SimTime PublishedQueueDelay(topo::LinkDir ld) const;
 
+  /// Dense index of a link direction (link_id * 2 + dir), the element
+  /// type of the spans taken by SumQueueDelay and DirsUp.
+  static std::uint32_t DirIndex(topo::LinkDir ld) {
+    return static_cast<std::uint32_t>(ld.link_id) * 2 +
+           static_cast<std::uint32_t>(ld.dir);
+  }
+
+  /// Sum over `dirs` of PublishedQueueDelay (`published`) or of
+  /// TrueQueueDelay: the live part of a route's ARM (Eq 4).
+  sim::SimTime SumQueueDelay(std::span<const std::uint32_t> dirs,
+                             bool published) const {
+    sim::SimTime sum = 0;
+    if (published) {
+      for (std::uint32_t d : dirs) sum += published_delay_[d];
+      return sum;
+    }
+    const sim::SimTime now = sim_->Now();
+    for (std::uint32_t d : dirs) {
+      sum += next_free_[d] > now ? next_free_[d] - now : 0;
+    }
+    return sum;
+  }
+
+  /// True if the link of every direction in `dirs` is up.
+  bool DirsUp(std::span<const std::uint32_t> dirs) const {
+    for (std::uint32_t d : dirs) {
+      if (!avail_.Up(static_cast<int>(d / 2))) return false;
+    }
+    return true;
+  }
+
   /// Cumulative busy time of a link direction (for utilization stats).
   sim::SimTime BusyTime(topo::LinkDir ld) const;
 
@@ -202,9 +234,7 @@ class LinkStateTable {
   sim::SimTime Now() const;
 
  private:
-  std::size_t Index(topo::LinkDir ld) const {
-    return static_cast<std::size_t>(ld.link_id) * 2 + ld.dir;
-  }
+  std::size_t Index(topo::LinkDir ld) const { return DirIndex(ld); }
   void MaybePublish(topo::LinkDir ld);
   void ApplyFaultEvent(const FaultEvent& ev);
   double links_eff_bw_(topo::LinkDir ld, std::uint64_t bytes) const;

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "net/link_state.h"
 #include "sim/simulator.h"
@@ -23,6 +24,10 @@ enum class PolicyKind {
 
 const char* PolicyKindName(PolicyKind kind);
 
+/// Per-(src, dst) candidate cache shared by every policy (defined in
+/// routing_policy.cc; DESIGN.md Sec 7).
+class RouteTable;
+
 /// \brief Chooses a route for each batch of packets.
 ///
 /// Policies see the fabric through a LinkStateTable: static policies
@@ -30,19 +35,28 @@ const char* PolicyKindName(PolicyKind kind);
 /// possibly stale) queue delays, and the centralized baseline reads true
 /// delays — which is exactly why it must pay a global synchronization per
 /// batch (Figure 10).
+///
+/// A policy is bound to the topology of the first LinkStateTable it
+/// sees after construction or SetParticipants; it is not thread-safe.
 class RoutingPolicy {
  public:
-  virtual ~RoutingPolicy() = default;
+  /// `max_intermediates` bounds multi-hop candidates.
+  explicit RoutingPolicy(int max_intermediates);
+  virtual ~RoutingPolicy();
 
   virtual PolicyKind kind() const = 0;
   const char* name() const { return PolicyKindName(kind()); }
 
-  /// Picks the route for a batch of `num_packets` packets of
-  /// `packet_bytes` each from `src` to `dst`.
-  virtual topo::Route ChooseRoute(int src, int dst,
-                                  std::uint64_t packet_bytes,
-                                  int num_packets,
-                                  const LinkStateTable& state) = 0;
+  /// \brief Picks the route for a batch of `num_packets` (>= 1) packets
+  /// of `packet_bytes` each from `src` to `dst`.
+  ///
+  /// The returned reference points into the policy's route table and
+  /// stays valid until the policy's next SetParticipants or its
+  /// destruction.
+  virtual const topo::Route& ChooseRoute(int src, int dst,
+                                         std::uint64_t packet_bytes,
+                                         int num_packets,
+                                         const LinkStateTable& state) = 0;
 
   /// Extra control-plane cost charged at the sender per batch. The
   /// centralized baseline returns its global-barrier cost here.
@@ -56,23 +70,15 @@ class RoutingPolicy {
   virtual bool SerializesGlobally() const { return false; }
 
   /// Restricts multi-hop candidates to the experiment's participating
-  /// GPUs (indexed by dense GPU index). Called by the TransferEngine.
-  void SetParticipants(std::vector<bool> mask) {
-    participants_ = std::move(mask);
-  }
+  /// GPUs (indexed by dense GPU index) and drops the route table. Called
+  /// by the TransferEngine.
+  void SetParticipants(std::vector<bool> mask);
 
  protected:
-  /// True if every GPU of `r` participates in the experiment.
-  bool Allowed(const topo::Route& r) const {
-    if (participants_.empty()) return true;
-    for (int g : r.gpus) {
-      if (!participants_[g]) return false;
-    }
-    return true;
-  }
+  RouteTable& table() { return *table_; }
 
  private:
-  std::vector<bool> participants_;
+  std::unique_ptr<RouteTable> table_;
 };
 
 /// Factory for the built-in policies. `max_intermediates` bounds

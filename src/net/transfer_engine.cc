@@ -375,7 +375,7 @@ bool TransferEngine::TryStartBatch(int gpu, const QueueKey& key) {
   if (key.transit) {
     route = queue.front().packet.route;
   } else {
-    const topo::Route chosen = policy_->ChooseRoute(
+    const topo::Route& chosen = policy_->ChooseRoute(
         gpu, key.peer, options_.packet_bytes,
         static_cast<int>(
             std::min<std::size_t>(queue.size(),
@@ -675,7 +675,7 @@ void TransferEngine::HandleArrival(Packet packet, int from_gpu) {
   // wire; re-path it now rather than queueing it toward a dead hop.
   if (!RemainingRouteAvailable(packet)) {
     const int dst = packet.final_dst();
-    const topo::Route alt =
+    const topo::Route& alt =
         policy_->ChooseRoute(here, dst, options_.packet_bytes, 1, links_);
     if (links_.RouteAvailable(alt)) {
       packet.route = alt;
@@ -819,7 +819,7 @@ std::uint64_t TransferEngine::RepairTransitQueue(int gpu, int peer) {
       continue;
     }
     const int dst = qp.packet.final_dst();
-    const topo::Route alt =
+    const topo::Route& alt =
         policy_->ChooseRoute(gpu, dst, options_.packet_bytes, 1, links_);
     if (!links_.RouteAvailable(alt)) {
       // No surviving route right now; hold the packet for a restore.

@@ -364,7 +364,8 @@ int BenchCompareMain(const std::vector<std::string>& args,
       char* end = nullptr;
       double t = std::strtod(v.c_str(), &end);
       if (end != nullptr && *end == '%') t /= 100.0;
-      if (!(t > 0.0)) {
+      // 0% is valid: any harmful delta at all is a regression.
+      if (!(t >= 0.0)) {
         *out += "bad --threshold value: " + v + "\n";
         return 2;
       }

@@ -61,6 +61,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <utility>
 #include <string>
 
 #include "common/thread_pool.h"
@@ -121,23 +122,42 @@ Args ParseArgs(int argc, char** argv, int first) {
   return a;
 }
 
+// Unknown --machine / --policy names are errors, never defaults: a typo
+// would otherwise run a different experiment. Both print the valid
+// names; callers exit 1.
 std::unique_ptr<topo::Topology> MakeMachine(const std::string& name) {
+  if (name == "dgx1") return topo::MakeDgx1V();
   if (name == "dgxstation") return topo::MakeDgxStation();
   if (name == "dgx2") return topo::MakeDgx2();
-  return topo::MakeDgx1V();
+  std::fprintf(stderr, "bad --machine '%s' (want dgx1|dgxstation|dgx2)\n",
+               name.c_str());
+  return nullptr;
 }
 
-net::PolicyKind ParsePolicy(const std::string& p) {
-  if (p == "direct") return net::PolicyKind::kDirect;
-  if (p == "bandwidth") return net::PolicyKind::kBandwidth;
-  if (p == "hopcount") return net::PolicyKind::kHopCount;
-  if (p == "latency") return net::PolicyKind::kLatency;
-  if (p == "centralized") return net::PolicyKind::kCentralized;
-  return net::PolicyKind::kAdaptive;
+bool ParsePolicy(const std::string& p, net::PolicyKind* out) {
+  static const std::pair<const char*, net::PolicyKind> kPolicies[] = {
+      {"adaptive", net::PolicyKind::kAdaptive},
+      {"direct", net::PolicyKind::kDirect},
+      {"bandwidth", net::PolicyKind::kBandwidth},
+      {"hopcount", net::PolicyKind::kHopCount},
+      {"latency", net::PolicyKind::kLatency},
+      {"centralized", net::PolicyKind::kCentralized}};
+  for (const auto& [name, kind] : kPolicies) {
+    if (p == name) {
+      *out = kind;
+      return true;
+    }
+  }
+  std::fprintf(stderr,
+               "bad --policy '%s' (want adaptive|direct|bandwidth|hopcount|"
+               "latency|centralized)\n",
+               p.c_str());
+  return false;
 }
 
 int CmdTopo(const Args& args) {
   auto topo = MakeMachine(args.Get("machine", "dgx1"));
+  if (topo == nullptr) return 1;
   std::printf("%s", topo->ToString().c_str());
   const auto gpus = topo::AllGpus(*topo);
   std::printf("bisection bandwidth (%d GPUs): %s\n", topo->num_gpus(),
@@ -154,6 +174,9 @@ int CmdTopo(const Args& args) {
 
 int CmdJoin(const Args& args) {
   auto topo = MakeMachine(args.Get("machine", "dgx1"));
+  if (topo == nullptr) return 1;
+  join::MgJoinOptions opts;
+  if (!ParsePolicy(args.Get("policy", "adaptive"), &opts.policy)) return 1;
   const int g = static_cast<int>(args.GetI("gpus", topo->num_gpus()));
   if (g < 1 || g > topo->num_gpus()) {
     std::fprintf(stderr, "gpus must be 1..%d\n", topo->num_gpus());
@@ -174,13 +197,11 @@ int CmdJoin(const Args& args) {
   gen.key_zipf = args.GetD("key-zipf", 0.0);
   auto [r, s] = data::MakeJoinInput(gen);
 
-  join::MgJoinOptions opts;
   opts.host_threads = threads;
   // Simulator worker threads: > 0 selects the conservative parallel
   // event core (byte-identical results; DESIGN.md Sec 16).
   opts.transfer.sim_threads =
       static_cast<int>(args.GetI("sim-threads", 0));
-  opts.policy = ParsePolicy(args.Get("policy", "adaptive"));
   opts.transfer.packet_bytes =
       static_cast<std::uint64_t>(args.GetI("packet-kb", 2048)) * kKiB;
   opts.use_compression = !args.Has("no-compression");
@@ -307,6 +328,7 @@ int CmdJoin(const Args& args) {
 // are absent.
 int CmdServe(const Args& args) {
   auto topo = MakeMachine(args.Get("machine", "dgx1"));
+  if (topo == nullptr) return 1;
   const int g = static_cast<int>(args.GetI("gpus", topo->num_gpus()));
   if (g < 1 || g > topo->num_gpus()) {
     std::fprintf(stderr, "gpus must be 1..%d\n", topo->num_gpus());
@@ -337,7 +359,9 @@ int CmdServe(const Args& args) {
     return 1;
   }
   opts.measure_solo = !args.Has("no-solo");
-  opts.join.policy = ParsePolicy(args.Get("policy", "adaptive"));
+  if (!ParsePolicy(args.Get("policy", "adaptive"), &opts.join.policy)) {
+    return 1;
+  }
   opts.join.virtual_scale = args.GetD("scale", 256.0);
   const int threads = static_cast<int>(args.GetI("threads", 0));
   opts.join.host_threads = threads;
@@ -436,6 +460,7 @@ int CmdTpch(const Args& args) {
   const double sf = args.GetD("sf", 0.05);
   const double vsf = args.GetD("virtual-sf", 250.0);
   auto topo = MakeMachine(args.Get("machine", "dgx1"));
+  if (topo == nullptr) return 1;
   const auto gpus = topo::AllGpus(*topo);
   const tpch::TpchData db = tpch::GenerateTpch(sf, topo->num_gpus());
 

@@ -289,14 +289,10 @@ sim::SimTime Topology::RouteLatency(const Route& r) const {
   return lat;
 }
 
-const std::vector<Route>& Topology::EnumerateRoutes(
-    int src_gpu, int dst_gpu, int max_intermediates) const {
+std::vector<Route> Topology::EnumerateRoutes(int src_gpu, int dst_gpu,
+                                             int max_intermediates) const {
   MGJ_CHECK(finalized_);
   MGJ_CHECK(src_gpu != dst_gpu);
-  const auto key = std::make_tuple(src_gpu, dst_gpu, max_intermediates);
-  auto it = route_cache_.find(key);
-  if (it != route_cache_.end()) return it->second;
-
   std::vector<Route> routes;
   // Direct channel (NVLink or staged) is always a candidate.
   routes.push_back(Route{{src_gpu, dst_gpu}});
@@ -337,10 +333,7 @@ const std::vector<Route>& Topology::EnumerateRoutes(
     return a.gpus < b.gpus;
   });
   routes.erase(std::unique(routes.begin(), routes.end()), routes.end());
-
-  auto [pos, inserted] = route_cache_.emplace(key, std::move(routes));
-  (void)inserted;
-  return pos->second;
+  return routes;
 }
 
 double Topology::MaxFlowBetween(const std::vector<int>& side_a,

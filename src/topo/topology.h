@@ -2,7 +2,6 @@
 #define MGJOIN_TOPO_TOPOLOGY_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -117,9 +116,10 @@ class Topology {
   /// paper's constraint, Sec 4.2.2). Staged channels are never used as
   /// intermediate hops: any multi-hop route through host memory is
   /// dominated by the direct staged route. Results are deterministic
-  /// (sorted by hop count, then lexicographically).
-  const std::vector<Route>& EnumerateRoutes(int src_gpu, int dst_gpu,
-                                            int max_intermediates = 3) const;
+  /// (sorted by hop count, then lexicographically). Computed on every
+  /// call; the routing policies keep their own per-pair tables.
+  std::vector<Route> EnumerateRoutes(int src_gpu, int dst_gpu,
+                                     int max_intermediates = 3) const;
 
   /// Result of a bisection computation: the limiting bandwidth plus which
   /// physical links cross the minimizing cut (used to attribute traffic
@@ -155,10 +155,6 @@ class Topology {
   std::vector<std::vector<int>> adjacency_;   // node id -> link ids
   std::vector<Channel> channels_;             // src*num_gpus+dst
   std::vector<std::vector<int>> nvlink_adj_;  // gpu_index -> gpu_index list
-
-  // Route cache: key = (src, dst, max_intermediates).
-  mutable std::map<std::tuple<int, int, int>, std::vector<Route>>
-      route_cache_;
 };
 
 /// \brief Link-latency floor of the fabric: the minimum static one-way

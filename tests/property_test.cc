@@ -246,6 +246,264 @@ TEST(RoutePropertyTest, ArmIsMonotoneInCongestion) {
   }
 }
 
+// Reference routing: the per-call algorithms written directly over
+// Topology::EnumerateRoutes and ArmValue, independent of the policies'
+// route tables. The policies must agree with it decision for decision.
+topo::Route ReferenceRoute(net::PolicyKind kind,
+                           const std::vector<bool>& mask, int src, int dst,
+                           std::uint64_t packet_bytes, int num_packets,
+                           const net::LinkStateTable& state) {
+  const topo::Topology& topo = state.topo();
+  std::vector<topo::Route> routes;
+  for (const topo::Route& r : topo.EnumerateRoutes(src, dst, 3)) {
+    bool allowed = true;
+    for (int g : r.gpus) allowed = allowed && (mask.empty() || mask[g]);
+    if (allowed) routes.push_back(r);
+  }
+  switch (kind) {
+    case net::PolicyKind::kDirect:
+    case net::PolicyKind::kHopCount: {
+      const topo::Route direct{{src, dst}};
+      if (state.RouteAvailable(direct)) return direct;
+      for (const topo::Route& r : routes) {
+        if (state.RouteAvailable(r)) return r;
+      }
+      return direct;
+    }
+    case net::PolicyKind::kBandwidth:
+    case net::PolicyKind::kLatency:
+      for (int pass = 0; pass < 2; ++pass) {
+        const topo::Route* best = nullptr;
+        double best_bw = -1;
+        sim::SimTime best_lat = sim::kSimTimeMax;
+        for (const topo::Route& r : routes) {
+          if (pass == 0 && !state.RouteAvailable(r)) continue;
+          const double bw = topo.RouteBottleneckBandwidth(r, packet_bytes);
+          bool better;
+          if (kind == net::PolicyKind::kBandwidth) {
+            better = bw > best_bw * (1 + 1e-9) ||
+                     (bw > best_bw * (1 - 1e-9) && best != nullptr &&
+                      r.hops() < best->hops());
+          } else {
+            const sim::SimTime lat = topo.RouteLatency(r);
+            better = lat < best_lat || (lat == best_lat && bw > best_bw);
+            if (better) best_lat = lat;
+          }
+          if (better) {
+            best_bw = bw;
+            best = &r;
+          }
+        }
+        if (best != nullptr) return *best;
+      }
+      ADD_FAILURE() << "no allowed route";
+      return {};
+    case net::PolicyKind::kAdaptive:
+    case net::PolicyKind::kCentralized: {
+      const bool published = kind == net::PolicyKind::kAdaptive;
+      const topo::Route* best = nullptr;
+      const topo::Route* direct = nullptr;
+      sim::SimTime best_arm = sim::kSimTimeMax;
+      sim::SimTime direct_arm = sim::kSimTimeMax;
+      for (const topo::Route& r : routes) {
+        const sim::SimTime arm =
+            net::ArmValue(r, packet_bytes, num_packets, state, published);
+        if (r.hops() == 1) {
+          direct = &r;
+          direct_arm = arm;
+        }
+        if (best == nullptr || arm < best_arm) {
+          best_arm = arm;
+          best = &r;
+        }
+      }
+      if (best == nullptr) {
+        ADD_FAILURE() << "no allowed route";
+        return {};
+      }
+      // Adaptive's 1/6 hysteresis toward the direct route.
+      if (published && direct != nullptr && best != direct &&
+          direct_arm != net::kUnreachableArm &&
+          direct_arm - best_arm <= best_arm / 6) {
+        return *direct;
+      }
+      return *best;
+    }
+  }
+  return {};
+}
+
+constexpr net::PolicyKind kAllPolicies[] = {
+    net::PolicyKind::kDirect,   net::PolicyKind::kBandwidth,
+    net::PolicyKind::kHopCount, net::PolicyKind::kLatency,
+    net::PolicyKind::kAdaptive, net::PolicyKind::kCentralized};
+
+// Loads the fabric: reserves random available channels, lets some
+// broadcasts propagate, then reserves more so that published and true
+// queue delays differ.
+void LoadRandomChannels(Rng* rng, sim::Simulator* s,
+                        net::LinkStateTable* links, int reservations) {
+  const topo::Topology& topo = links->topo();
+  const int g = topo.num_gpus();
+  for (int phase = 0; phase < 2; ++phase) {
+    for (int i = 0; i < reservations; ++i) {
+      const int a = static_cast<int>(rng->Uniform(g));
+      const int b = (a + 1 + static_cast<int>(rng->Uniform(g - 1))) % g;
+      const topo::Channel& ch = topo.channel(a, b);
+      if (!links->ChannelAvailable(ch)) continue;
+      links->ReserveChannel(ch, 64 * kKiB + rng->Uniform(8 * kMiB));
+    }
+    if (phase == 0) {
+      s->RunUntil(s->Now() + 10 * sim::kMicrosecond +
+                  rng->Uniform(40 * sim::kMicrosecond));
+    }
+  }
+}
+
+// Every policy's table-driven ChooseRoute equals the reference, under
+// random link load (published != true delays), downed and degraded
+// links, batch sizes 1..8, three packet sizes, full and partial
+// participant masks, on DGX-1V (even seeds) and DGX-2 (odd seeds). One
+// policy object per mask serves every decision, so the packet-size
+// keying is exercised too.
+void CheckPoliciesMatchReference(int seed) {
+  const bool dgx2 = seed % 2 == 1;
+  Rng rng(static_cast<std::uint64_t>(seed) * 0x2545F491ull + 3);
+  auto topo = dgx2 ? topo::MakeDgx2() : topo::MakeDgx1V();
+  const int g = topo->num_gpus();
+  sim::Simulator s;
+  net::LinkStateTable links(&s, topo.get());
+
+  // Faults land between load steps: downs (some restored) and degrades.
+  net::FaultPlan plan;
+  const int num_faults = 2 + static_cast<int>(rng.Uniform(dgx2 ? 24 : 8));
+  for (int i = 0; i < num_faults; ++i) {
+    const int link = static_cast<int>(rng.Uniform(topo->num_links()));
+    const sim::SimTime at = rng.Uniform(300 * sim::kMicrosecond);
+    if (i > 0 && rng.Uniform(3) == 0) {
+      plan.Degrade(link, 0.1 + 0.8 * rng.NextDouble(), at);
+    } else {
+      plan.Down(link, at);
+      if (rng.Uniform(2) == 0) {
+        plan.Restore(link, at + rng.Uniform(200 * sim::kMicrosecond));
+      }
+    }
+  }
+  links.ApplyFaultPlan(plan);
+
+  // Mask 0: no restriction; mask 1: a random subset of >= 3 GPUs.
+  std::vector<int> order(g);
+  for (int i = 0; i < g; ++i) order[i] = i;
+  rng.Shuffle(&order);
+  const int subset = 3 + static_cast<int>(rng.Uniform(g - 3));
+  std::vector<bool> partial(g, false);
+  for (int i = 0; i < subset; ++i) partial[order[i]] = true;
+  const std::vector<std::vector<bool>> masks{{}, partial};
+
+  std::vector<std::vector<std::unique_ptr<net::RoutingPolicy>>> policies(
+      masks.size());
+  for (std::size_t m = 0; m < masks.size(); ++m) {
+    for (net::PolicyKind kind : kAllPolicies) {
+      policies[m].push_back(net::MakePolicy(kind));
+      policies[m].back()->SetParticipants(masks[m]);
+    }
+  }
+
+  const std::uint64_t sizes[] = {64 * kKiB, 2 * kMiB, 16 * kMiB};
+  int decisions = 0, faulted = 0, detours = 0;
+  for (int step = 0; step < 12; ++step) {
+    LoadRandomChannels(&rng, &s, &links, dgx2 ? 48 : 16);
+    if (!links.availability().AllUp()) ++faulted;
+    for (int q = 0; q < (dgx2 ? 3 : 24); ++q) {
+      for (std::size_t m = 0; m < masks.size(); ++m) {
+        const std::vector<int> members =
+            m == 0 ? std::vector<int>(order.begin(), order.end())
+                   : std::vector<int>(order.begin(), order.begin() + subset);
+        const std::size_t si = rng.Uniform(members.size());
+        const std::size_t di =
+            (si + 1 + rng.Uniform(members.size() - 1)) % members.size();
+        const int src = members[si];
+        const int dst = members[di];
+        const std::uint64_t bytes = sizes[rng.Uniform(3)];
+        const int n = 1 + static_cast<int>(rng.Uniform(8));
+        for (std::size_t k = 0; k < std::size(kAllPolicies); ++k) {
+          const topo::Route& got =
+              policies[m][k]->ChooseRoute(src, dst, bytes, n, links);
+          const topo::Route want = ReferenceRoute(
+              kAllPolicies[k], masks[m], src, dst, bytes, n, links);
+          ASSERT_EQ(got.gpus, want.gpus)
+              << net::PolicyKindName(kAllPolicies[k]) << " " << src
+              << "->" << dst << " bytes=" << bytes << " n=" << n
+              << " mask=" << m << " step=" << step << "\n"
+              << links.HealthReport();
+          ++decisions;
+          if (got.hops() > 1) ++detours;
+        }
+      }
+    }
+  }
+  // The sweep must have seen detours and a faulted fabric, or it proved
+  // nothing about the paths that differ from the direct route.
+  EXPECT_GT(decisions, 0);
+  EXPECT_GT(detours, 0);
+  EXPECT_GT(faulted, 0);
+}
+
+TEST(RoutePropertyTest, PoliciesMatchReferenceDecisions) {
+  for (int seed = 0; seed < 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    CheckPoliciesMatchReference(seed);
+  }
+}
+
+TEST(RoutePropertyTest, RouteTableFollowsParticipantsAndPacketSize) {
+  // One policy re-armed across masks and packet sizes must choose
+  // exactly what a freshly made policy chooses for the same inputs.
+  auto topo = topo::MakeDgx1V();
+  sim::Simulator s;
+  net::LinkStateTable links(&s, topo.get());
+  Rng rng(11);
+  LoadRandomChannels(&rng, &s, &links, 24);
+  std::vector<bool> full(8, true);
+  std::vector<bool> partial(8, false);
+  partial[0] = partial[3] = partial[7] = true;
+  for (net::PolicyKind kind : kAllPolicies) {
+    auto reused = net::MakePolicy(kind);
+    int differs = 0;
+    for (const std::vector<bool>* mask : {&full, &partial, &full}) {
+      reused->SetParticipants(*mask);
+      for (std::uint64_t bytes : {64 * kKiB, 16 * kMiB, 64 * kKiB}) {
+        auto fresh = net::MakePolicy(kind);
+        fresh->SetParticipants(*mask);
+        for (int a = 0; a < 8; ++a) {
+          for (int b = 0; b < 8; ++b) {
+            if (a == b || !(*mask)[a] || !(*mask)[b]) continue;
+            for (int n : {1, 8}) {
+              const topo::Route& got =
+                  reused->ChooseRoute(a, b, bytes, n, links);
+              const topo::Route& want =
+                  fresh->ChooseRoute(a, b, bytes, n, links);
+              EXPECT_EQ(got.gpus, want.gpus)
+                  << net::PolicyKindName(kind) << " " << a << "->" << b;
+              if (mask == &partial && a == 0 && b == 7) {
+                const topo::Route unmasked =
+                    ReferenceRoute(kind, full, a, b, bytes, n, links);
+                if (unmasked.gpus != got.gpus) ++differs;
+              }
+            }
+          }
+        }
+      }
+    }
+    // Static and adaptive policies detour 0->7 over NVLink on the full
+    // machine; the partial mask must force them back to direct.
+    if (kind != net::PolicyKind::kDirect &&
+        kind != net::PolicyKind::kHopCount) {
+      EXPECT_GT(differs, 0) << net::PolicyKindName(kind);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Compression round-trip on adversarial random inputs.
 

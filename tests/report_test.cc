@@ -520,6 +520,16 @@ TEST(BenchCompareTest, MainExitCodesAndThresholdFlag) {
                 {base_path, cand_path, "--threshold=5%", "--warn-only"},
                 &out),
             0);
+  // 0% gates on any harmful change and passes identical documents.
+  EXPECT_EQ(BenchCompareMain({base_path, cand_path, "--threshold=0%"},
+                             &out),
+            1);
+  EXPECT_EQ(BenchCompareMain({base_path, base_path, "--threshold=0%"},
+                             &out),
+            0);
+  EXPECT_EQ(BenchCompareMain({base_path, cand_path, "--threshold=-1%"},
+                             &out),
+            2);
   EXPECT_EQ(BenchCompareMain({base_path}, &out), 2);
   EXPECT_EQ(BenchCompareMain({base_path, dir + "/missing.json"}, &out), 2);
 }
