@@ -24,6 +24,10 @@ struct GenOptions {
   /// 100% join selectivity).
   double key_zipf = 0.0;
   std::uint64_t seed = 42;
+
+  /// Equal options generate identical inputs (svc keys its per-run
+  /// dataset cache on this).
+  bool operator==(const GenOptions&) const = default;
 };
 
 /// \brief Generates the paper's workload: R and S with sequentially

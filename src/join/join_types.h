@@ -22,6 +22,8 @@ struct JoinBreakdown {
   sim::SimTime probe = 0;
   sim::SimTime page_faults = 0;        ///< UMJ only
   sim::SimTime total = 0;
+
+  bool operator==(const JoinBreakdown&) const = default;
 };
 
 /// Outcome of one simulated join: real matches over real tuples plus the

@@ -60,6 +60,60 @@ class HostPhase {
 
 }  // namespace
 
+void PreparedJoin::AdmitFlows(net::TransferEngine* engine,
+                              sim::SimTime admit_at, std::uint64_t id_base,
+                              std::uint64_t query_id, int priority) const {
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    net::Flow f = flows[i];
+    f.id = id_base + i;
+    f.priority = priority;
+    f.tag.query_id = query_id;
+    f.tag.phase = "shuffle";
+    const sim::SimTime gp = gp_time[dense[f.src_gpu]];
+    if (overlap) {
+      // Packets become available as the partition kernel emits them.
+      f.available_at = admit_at + hist_end;
+      f.generation_rate =
+          static_cast<double>(f.bytes) / std::max(1e-9, sim::ToSeconds(gp));
+    } else {
+      // Bulk transfer after the partition kernel completes.
+      f.available_at = admit_at + hist_end + gp;
+      f.generation_rate = 0.0;
+    }
+    engine->AddFlow(f);
+  }
+}
+
+sim::SimTime PreparedJoin::ProbeStart(int d, sim::SimTime admit_at,
+                                      sim::SimTime last_arrival,
+                                      sim::SimTime last_delivery) const {
+  const sim::SimTime base = admit_at + hist_end;
+  if (overlap) {
+    // Local partitioning consumes packets as they arrive; the last
+    // packet still needs one pass through the local pipeline.
+    const sim::SimTime compute_end = base + gp_time[d] + lp_time[d];
+    const sim::SimTime data_end =
+        last_arrival == 0 ? compute_end : last_arrival + residual;
+    return std::max(compute_end, data_end);
+  }
+  const sim::SimTime dist_end =
+      payload_bytes == 0 ? base : std::max(last_delivery, base);
+  return std::max(dist_end, base + gp_time[d]) + lp_time[d];
+}
+
+sim::SimTime PreparedJoin::CompleteTime(
+    sim::SimTime admit_at, const std::vector<sim::SimTime>& last_arrival,
+    sim::SimTime last_delivery) const {
+  sim::SimTime join_end = admit_at + hist_end;
+  for (std::size_t d = 0; d < gp_time.size(); ++d) {
+    join_end = std::max(join_end,
+                        ProbeStart(static_cast<int>(d), admit_at,
+                                   last_arrival[d], last_delivery) +
+                            probe_time[d]);
+  }
+  return join_end;
+}
+
 MgJoin::MgJoin(const topo::Topology* topo, std::vector<int> gpus,
                MgJoinOptions options)
     : topo_(topo), gpus_(std::move(gpus)), options_(std::move(options)) {
@@ -77,6 +131,18 @@ MgJoin::MgJoin(const topo::Topology* topo, std::vector<int> gpus,
 
 Result<JoinResult> MgJoin::Execute(const data::DistRelation& r,
                                    const data::DistRelation& s) const {
+  MGJ_ASSIGN_OR_RETURN(PreparedJoin prepared, Prepare(r, s));
+  // Hand the pairs over instead of copying them through Simulate.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs =
+      std::move(prepared.pairs);
+  prepared.pairs.clear();
+  JoinResult result = Simulate(prepared);
+  result.pairs = std::move(pairs);
+  return result;
+}
+
+Result<PreparedJoin> MgJoin::Prepare(const data::DistRelation& r,
+                                     const data::DistRelation& s) const {
   const int g = static_cast<int>(gpus_.size());
   if (r.num_shards() != g || s.num_shards() != g) {
     return Status::InvalidArgument("relations must have one shard per GPU");
@@ -89,9 +155,16 @@ Result<JoinResult> MgJoin::Execute(const data::DistRelation& r,
 
   const gpusim::KernelModel kernels(options_.gpu);
   obs::MetricsRegistry* host_metrics = options_.transfer.obs.metrics;
-  JoinResult result;
-  result.input_tuples = r.TotalTuples() + s.TotalTuples();
-  result.virtual_input_tuples = Scale(result.input_tuples, vs);
+  PreparedJoin p;
+  p.dense.assign(topo_->num_gpus(), -1);
+  for (int d = 0; d < g; ++d) p.dense[gpus_[d]] = d;
+  p.overlap = options_.overlap;
+  p.gp_time.assign(g, 0);
+  p.lp_time.assign(g, 0);
+  p.probe_time.assign(g, 0);
+  p.recv_tuples.assign(g, 0);
+  p.input_tuples = r.TotalTuples() + s.TotalTuples();
+  p.virtual_input_tuples = Scale(p.input_tuples, vs);
 
   // ---- Phase 1: histogram generation (all GPUs in parallel; barrier).
   const int radix_bits =
@@ -106,14 +179,15 @@ Result<JoinResult> MgJoin::Execute(const data::DistRelation& r,
       timed("host.histogram", [&] { return BuildHistograms(r, radix_bits); });
   const HistogramSet hist_s =
       timed("host.histogram", [&] { return BuildHistograms(s, radix_bits); });
-  sim::SimTime hist_end = 0;
+  // Phase 1 ends at the slowest GPU's histogram; phase 2b, the partition
+  // kernel, then runs per GPU over the same tuples.
   for (int d = 0; d < g; ++d) {
     const std::uint64_t n =
         Scale(r.shards[d].size() + s.shards[d].size(), vs);
-    hist_end =
-        std::max(hist_end, kernels.HistogramTime(n, data::kTupleBytes));
+    p.hist_end =
+        std::max(p.hist_end, kernels.HistogramTime(n, data::kTupleBytes));
+    p.gp_time[d] = kernels.PartitionPassTime(n, data::kTupleBytes);
   }
-  result.timing.histogram = hist_end;
 
   // ---- Phase 2a: partition assignment. In MG-Join it overlaps the
   // partition kernel (modification 1); baselines without a histogram
@@ -125,110 +199,28 @@ Result<JoinResult> MgJoin::Execute(const data::DistRelation& r,
   const PartitionAssignment assignment =
       ComputeAssignment(*topo_, gpus_, hist_r, hist_s, aopts);
 
-  // ---- Phase 2b: partition kernel (per GPU).
-  std::vector<sim::SimTime> gp_time(g, 0);
-  for (int d = 0; d < g; ++d) {
-    const std::uint64_t n =
-        Scale(r.shards[d].size() + s.shards[d].size(), vs);
-    gp_time[d] = kernels.PartitionPassTime(n, data::kTupleBytes);
-  }
-
-  // ---- Phase 2c: data distribution (functional shuffle + simulated
-  // network).
+  // ---- Phase 2c: functional shuffle; its network timing is Simulate's.
   ShuffleOptions sopts;
   sopts.use_compression = options_.use_compression;
   sopts.virtual_scale = vs;
   ShuffleResult shuffle = timed("host.shuffle", [&] {
     return ShufflePartitions(r, s, radix_bits, assignment, gpus_, sopts);
   });
-  result.shuffled_bytes = Scale(shuffle.compressed_bytes, vs);
-  result.uncompressed_bytes = Scale(shuffle.uncompressed_bytes, vs);
-
-  std::vector<int> dense(topo_->num_gpus(), -1);
-  for (int d = 0; d < g; ++d) dense[gpus_[d]] = d;
-
-  // The parallel event core is opt-in: an explicit sim_threads (or
-  // MGJ_SIM_THREADS) selects kParallel, anything else keeps the serial
-  // calendar queue. Either way the simulated results are byte-identical
-  // (DESIGN.md Sec 16).
-  sim::Simulator net_sim(
-      sim::Simulator::ResolveSimThreads(options_.transfer.sim_threads) > 0
-          ? sim::QueueKind::kParallel
-          : sim::QueueKind::kCalendar);
-  auto policy = net::MakePolicy(options_.policy,
-                                options_.transfer.max_intermediates);
-  net::TransferEngine engine(&net_sim, topo_, gpus_, policy.get(),
-                             options_.transfer);
-  std::vector<sim::SimTime> last_arrival(g, 0);
-  engine.set_deliver_callback(
-      [&](const net::Packet& p, sim::SimTime when) {
-        last_arrival[dense[p.final_dst()]] =
-            std::max(last_arrival[dense[p.final_dst()]], when);
-      });
-  for (net::Flow f : shuffle.flows) {
-    const int src_dense = dense[f.src_gpu];
-    f.tag.query_id = options_.query_id;
-    f.tag.phase = "shuffle";
-    if (options_.overlap) {
-      // Packets become available as the partition kernel emits them.
-      f.available_at = hist_end;
-      f.generation_rate = static_cast<double>(f.bytes) /
-                          std::max(1e-9, sim::ToSeconds(gp_time[src_dense]));
-    } else {
-      // Bulk transfer after the partition kernel completes.
-      f.available_at = hist_end + gp_time[src_dense];
-      f.generation_rate = 0.0;
-    }
-    engine.AddFlow(f);
-  }
-  {
-    HostPhase net_phase("host.network_sim", host_metrics);
-    engine.Start();
-    net_sim.Run();
-  }
-  MGJ_CHECK(engine.AllDone()) << "distribution did not complete";
-  result.net = engine.stats();
-  const sim::SimTime dist_end =
-      shuffle.flows.empty() ? hist_end : result.net.last_delivery;
-  result.timing.distribution =
-      dist_end > hist_end ? dist_end - hist_end : 0;
-  result.timing.global_partition =
-      *std::max_element(gp_time.begin(), gp_time.end());
-
-  // Join-phase spans share the engine's trace so the fabric activity can
-  // be read against the phase it serves.
-  obs::TraceRecorder* tr = options_.transfer.obs.trace;
-  if (tr != nullptr) {
-    const int phases = tr->Track("join.phases");
-    tr->Span(phases, "join", "histogram", 0, hist_end);
-    tr->Span(phases, "join", "distribution", hist_end, dist_end,
-             {{"payload_bytes", result.net.payload_bytes},
-              {"wire_bytes", result.net.wire_bytes}});
-    for (int d = 0; d < g; ++d) {
-      tr->Span(tr->Track("join.gpu" + std::to_string(gpus_[d])), "join",
-               "global_partition", hist_end, hist_end + gp_time[d]);
-    }
-    // The GPU set's min-cut bisection bandwidth, so achieved-vs-peak
-    // utilization can be computed from the trace alone (report
-    // pipeline's congestion analysis).
-    const auto cut = topo_->MinBisectionCut(gpus_);
-    tr->Instant(tr->Track("net.info"), "net", "bisection", 0,
-                {{"bps", static_cast<std::uint64_t>(cut.bandwidth)}});
-  }
+  p.shuffled_bytes = Scale(shuffle.compressed_bytes, vs);
+  p.uncompressed_bytes = Scale(shuffle.uncompressed_bytes, vs);
+  p.flows = std::move(shuffle.flows);
+  for (const net::Flow& f : p.flows) p.payload_bytes += f.bytes;
 
   // ---- Phase 3 + 4: local partitioning and probe, per GPU.
   HostPhase local_phase("host.local_join", host_metrics);
-  sim::SimTime join_end = hist_end;
-  sim::SimTime nodist_end = hist_end;  // hypothetical zero-cost network
-  sim::SimTime lp_max = 0, probe_max = 0;
   for (int d = 0; d < g; ++d) {
     // Cost model inputs come from the *virtual* partition sizes; the
     // recursion depth a partition needs grows with the scaled size.
     std::uint64_t pass_tuples = 0;
     std::uint64_t recv_r = 0, recv_s = 0;
-    for (std::size_t p = 0; p < shuffle.r_recv[d].size(); ++p) {
-      const std::uint64_t rv = Scale(shuffle.r_recv[d][p].size(), vs);
-      const std::uint64_t sv = Scale(shuffle.s_recv[d][p].size(), vs);
+    for (std::size_t part = 0; part < shuffle.r_recv[d].size(); ++part) {
+      const std::uint64_t rv = Scale(shuffle.r_recv[d][part].size(), vs);
+      const std::uint64_t sv = Scale(shuffle.s_recv[d][part].size(), vs);
       recv_r += rv;
       recv_s += sv;
       const std::uint64_t small_side = std::min(rv, sv);
@@ -249,52 +241,118 @@ Result<JoinResult> MgJoin::Execute(const data::DistRelation& r,
     lopts.materialize_pairs = options_.materialize_pairs;
     LocalJoinStats stats = LocalPartitionAndProbe(
         &shuffle.r_recv[d], &shuffle.s_recv[d], lopts);
-    result.matches += stats.matches;
-    result.checksum += stats.checksum;
+    p.matches += stats.matches;
+    p.checksum += stats.checksum;
     if (options_.materialize_pairs) {
-      result.pairs.insert(result.pairs.end(), stats.pairs.begin(),
-                          stats.pairs.end());
+      p.pairs.insert(p.pairs.end(), stats.pairs.begin(), stats.pairs.end());
     }
-
-    const sim::SimTime lp_t =
-        kernels.PartitionPassTime(pass_tuples, data::kTupleBytes);
-    const sim::SimTime probe_t = kernels.ProbeTime(
+    p.lp_time[d] = kernels.PartitionPassTime(pass_tuples, data::kTupleBytes);
+    p.probe_time[d] = kernels.ProbeTime(
         recv_r, recv_s, Scale(stats.matches, vs), data::kTupleBytes);
-    lp_max = std::max(lp_max, lp_t);
-    probe_max = std::max(probe_max, probe_t);
+    p.recv_tuples[d] = recv_r + recv_s;
+  }
+  p.residual = kernels.PartitionPassTime(
+      options_.transfer.packet_bytes / data::kTupleBytes, data::kTupleBytes);
+  return p;
+}
 
-    sim::SimTime probe_start;
-    const sim::SimTime compute_end = hist_end + gp_time[d] + lp_t;
-    if (options_.overlap) {
-      // Local partitioning consumes packets as they arrive; the last
-      // packet still needs one pass through the local pipeline.
-      const sim::SimTime residual = kernels.PartitionPassTime(
-          options_.transfer.packet_bytes / data::kTupleBytes,
-          data::kTupleBytes);
-      const sim::SimTime data_end =
-          last_arrival[d] == 0 ? compute_end : last_arrival[d] + residual;
-      probe_start = std::max(compute_end, data_end);
-    } else {
-      probe_start =
-          std::max(dist_end, hist_end + gp_time[d]) + lp_t;
+JoinResult MgJoin::Simulate(const PreparedJoin& p) const {
+  const int g = static_cast<int>(gpus_.size());
+  MGJ_CHECK(static_cast<int>(p.gp_time.size()) == g)
+      << "prepared on a different GPU set";
+  JoinResult result;
+  result.matches = p.matches;
+  result.checksum = p.checksum;
+  result.pairs = p.pairs;
+  result.input_tuples = p.input_tuples;
+  result.virtual_input_tuples = p.virtual_input_tuples;
+  result.shuffled_bytes = p.shuffled_bytes;
+  result.uncompressed_bytes = p.uncompressed_bytes;
+  const sim::SimTime hist_end = p.hist_end;
+  result.timing.histogram = hist_end;
+  result.timing.global_partition =
+      *std::max_element(p.gp_time.begin(), p.gp_time.end());
+  result.timing.local_partition =
+      *std::max_element(p.lp_time.begin(), p.lp_time.end());
+  result.timing.probe =
+      *std::max_element(p.probe_time.begin(), p.probe_time.end());
+
+  // ---- Phase 2c: data distribution on the simulated network.
+  // The parallel event core is opt-in: an explicit sim_threads (or
+  // MGJ_SIM_THREADS) selects kParallel, anything else keeps the serial
+  // calendar queue. Either way the simulated results are byte-identical
+  // (DESIGN.md Sec 16).
+  sim::Simulator net_sim(
+      sim::Simulator::ResolveSimThreads(options_.transfer.sim_threads) > 0
+          ? sim::QueueKind::kParallel
+          : sim::QueueKind::kCalendar);
+  auto policy = net::MakePolicy(options_.policy,
+                                options_.transfer.max_intermediates);
+  net::TransferEngine engine(&net_sim, topo_, gpus_, policy.get(),
+                             options_.transfer);
+  std::vector<sim::SimTime> last_arrival(g, 0);
+  engine.set_deliver_callback(
+      [&](const net::Packet& pkt, sim::SimTime when) {
+        sim::SimTime& at = last_arrival[p.dense[pkt.final_dst()]];
+        at = std::max(at, when);
+      });
+  p.AdmitFlows(&engine, 0, 0, options_.query_id, 0);
+  {
+    HostPhase net_phase("host.network_sim", options_.transfer.obs.metrics);
+    engine.Start();
+    net_sim.Run();
+  }
+  MGJ_CHECK(engine.AllDone()) << "distribution did not complete";
+  result.net = engine.stats();
+  const sim::SimTime dist_end =
+      p.flows.empty() ? hist_end : result.net.last_delivery;
+  result.timing.distribution =
+      dist_end > hist_end ? dist_end - hist_end : 0;
+
+  // Join-phase spans share the engine's trace so the fabric activity can
+  // be read against the phase it serves.
+  obs::TraceRecorder* tr = options_.transfer.obs.trace;
+  if (tr != nullptr) {
+    const int phases = tr->Track("join.phases");
+    tr->Span(phases, "join", "histogram", 0, hist_end);
+    tr->Span(phases, "join", "distribution", hist_end, dist_end,
+             {{"payload_bytes", result.net.payload_bytes},
+              {"wire_bytes", result.net.wire_bytes}});
+    for (int d = 0; d < g; ++d) {
+      tr->Span(tr->Track("join.gpu" + std::to_string(gpus_[d])), "join",
+               "global_partition", hist_end, hist_end + p.gp_time[d]);
     }
-    join_end = std::max(join_end, probe_start + probe_t);
-    nodist_end = std::max(nodist_end, compute_end + probe_t);
+    // The GPU set's min-cut bisection bandwidth, so achieved-vs-peak
+    // utilization can be computed from the trace alone (report
+    // pipeline's congestion analysis).
+    const auto cut = topo_->MinBisectionCut(gpus_);
+    tr->Instant(tr->Track("net.info"), "net", "bisection", 0,
+                {{"bps", static_cast<std::uint64_t>(cut.bandwidth)}});
+  }
+
+  // ---- Phase 3 + 4: the per-GPU completion chain.
+  sim::SimTime nodist_end = hist_end;  // hypothetical zero-cost network
+  for (int d = 0; d < g; ++d) {
+    nodist_end = std::max(
+        nodist_end, hist_end + p.gp_time[d] + p.lp_time[d] + p.probe_time[d]);
     if (tr != nullptr) {
+      const sim::SimTime probe_start =
+          p.ProbeStart(d, 0, last_arrival[d], result.net.last_delivery);
       const int track = tr->Track("join.gpu" + std::to_string(gpus_[d]));
       // Without overlap the local partition really runs only after the
       // whole distribution lands; place the span at its true interval
       // so critical-path attribution charges the wait to the network.
-      const sim::SimTime lp_begin = options_.overlap
-                                        ? hist_end + gp_time[d]
-                                        : probe_start - lp_t;
-      tr->Span(track, "join", "local_partition", lp_begin, lp_begin + lp_t);
-      tr->Span(track, "join", "probe", probe_start, probe_start + probe_t,
-               {{"recv_tuples", recv_r + recv_s}});
+      const sim::SimTime lp_begin = p.overlap ? hist_end + p.gp_time[d]
+                                              : probe_start - p.lp_time[d];
+      tr->Span(track, "join", "local_partition", lp_begin,
+               lp_begin + p.lp_time[d]);
+      tr->Span(track, "join", "probe", probe_start,
+               probe_start + p.probe_time[d],
+               {{"recv_tuples", p.recv_tuples[d]}});
     }
   }
-  result.timing.local_partition = lp_max;
-  result.timing.probe = probe_max;
+  const sim::SimTime join_end =
+      p.CompleteTime(0, last_arrival, result.net.last_delivery);
   result.timing.total = join_end;
   result.timing.distribution_exposed =
       join_end > nodist_end ? join_end - nodist_end : 0;

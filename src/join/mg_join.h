@@ -1,6 +1,8 @@
 #ifndef MGJOIN_JOIN_MG_JOIN_H_
 #define MGJOIN_JOIN_MG_JOIN_H_
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -70,6 +72,66 @@ struct MgJoinOptions {
   }
 };
 
+/// \brief One MG-Join after its functional host phases (histograms,
+/// assignment, shuffle, local join), before any timing simulation.
+///
+/// Holds everything the timing layer needs and nothing it does not: the
+/// untimed shuffle flows, the kernel-model times per dense GPU, the
+/// functional result and the byte counts. The received tuples are
+/// consumed by the local join inside MgJoin::Prepare. Times are offsets
+/// from the join's start (its admission, in a service run). A
+/// PreparedJoin is immutable and may be simulated any number of times,
+/// alone (MgJoin::Simulate) or among other tenants on a shared engine
+/// (svc::QueryScheduler).
+struct PreparedJoin {
+  /// Topology GPU id -> dense index (-1 = not participating).
+  std::vector<int> dense;
+  /// Whether the distribution overlaps the partition kernel
+  /// (MgJoinOptions::overlap at preparation).
+  bool overlap = true;
+  /// One flow per (src, dst) pair at virtual scale, with ids 0..n-1.
+  /// Timing fields, tag and priority are set by AdmitFlows.
+  std::vector<net::Flow> flows;
+  std::uint64_t payload_bytes = 0;  ///< summed flow bytes
+  sim::SimTime hist_end = 0;        ///< histogram barrier
+  // Per dense GPU.
+  std::vector<sim::SimTime> gp_time;     ///< global partition kernel
+  std::vector<sim::SimTime> lp_time;     ///< local partitioning passes
+  std::vector<sim::SimTime> probe_time;  ///< probe kernel
+  std::vector<std::uint64_t> recv_tuples;  ///< received, virtual scale
+  /// One local-partition pass over the last packet (overlap only).
+  sim::SimTime residual = 0;
+  std::uint64_t matches = 0;
+  std::uint64_t checksum = 0;
+  /// Matched (r_id, s_id) pairs when materialize_pairs is set.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
+  std::uint64_t input_tuples = 0;
+  std::uint64_t virtual_input_tuples = 0;
+  std::uint64_t shuffled_bytes = 0;
+  std::uint64_t uncompressed_bytes = 0;
+
+  /// Feeds the shuffle flows of a join admitted at `admit_at` into
+  /// `engine`. Packets become available as the partition kernel emits
+  /// them (overlap) or in bulk after it (DPRJ). Flow i gets id
+  /// `id_base + i` and is tagged ("shuffle", `query_id`) in arbitration
+  /// class `priority`.
+  void AdmitFlows(net::TransferEngine* engine, sim::SimTime admit_at,
+                  std::uint64_t id_base, std::uint64_t query_id,
+                  int priority) const;
+
+  /// When the probe on dense GPU `d` can start, given the last packet
+  /// arrival at `d` (0 = none) and the last delivery of the whole
+  /// distribution, both absolute.
+  sim::SimTime ProbeStart(int d, sim::SimTime admit_at,
+                          sim::SimTime last_arrival,
+                          sim::SimTime last_delivery) const;
+
+  /// End of the join: the latest probe end over all GPUs.
+  sim::SimTime CompleteTime(sim::SimTime admit_at,
+                            const std::vector<sim::SimTime>& last_arrival,
+                            sim::SimTime last_delivery) const;
+};
+
 /// \brief The MG-Join executor: histogram generation, global
 /// partitioning (assignment + distribution), local partitioning, probe.
 ///
@@ -89,10 +151,24 @@ class MgJoin {
   MgJoin(const topo::Topology* topo, std::vector<int> gpus,
          MgJoinOptions options);
 
-  /// Runs the join. `r` and `s` must have one shard per participating
-  /// GPU (dense order).
+  /// Runs the join: Prepare followed by Simulate. `r` and `s` must have
+  /// one shard per participating GPU (dense order).
   Result<JoinResult> Execute(const data::DistRelation& r,
                              const data::DistRelation& s) const;
+
+  /// The functional host phases: histograms, partition assignment,
+  /// shuffle and local join, plus every kernel-model time. Wall time
+  /// per phase goes to the WallProfiler and, when transfer.obs.metrics
+  /// is set, to `host.*.wall_us` counters. Touches no simulator.
+  Result<PreparedJoin> Prepare(const data::DistRelation& r,
+                               const data::DistRelation& s) const;
+
+  /// The timing layer: simulates the distribution of `prepared` on a
+  /// fresh simulator and fabric (this join's policy, transfer knobs,
+  /// faults, arbitration and obs hooks) and derives the phase breakdown.
+  /// `prepared` must come from Prepare on a join over the same GPUs;
+  /// it is not modified, so repeated calls give identical results.
+  JoinResult Simulate(const PreparedJoin& prepared) const;
 
   const MgJoinOptions& options() const { return options_; }
   const std::vector<int>& gpus() const { return gpus_; }

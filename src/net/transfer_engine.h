@@ -102,6 +102,8 @@ struct TransferStats {
   std::uint64_t arb_paces = 0;       ///< batch formations deferred by pacing
   sim::SimTime control_overhead = 0; ///< centralized barrier time, summed
 
+  bool operator==(const TransferStats&) const = default;
+
   /// Wall-clock of the distribution step.
   sim::SimTime Makespan() const {
     return last_delivery > first_available ? last_delivery - first_available

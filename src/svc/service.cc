@@ -1,18 +1,12 @@
 #include "svc/service.h"
 
 #include <algorithm>
-#include <cmath>
 #include <deque>
 #include <functional>
 #include <utility>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
-#include "gpusim/kernel_model.h"
-#include "join/histogram.h"
-#include "join/local_join.h"
-#include "join/partition_assignment.h"
-#include "join/shuffle.h"
 #include "net/routing_policy.h"
 #include "net/transfer_engine.h"
 #include "obs/obs.h"
@@ -22,33 +16,23 @@ namespace mgjoin::svc {
 
 namespace {
 
-// Same rounding as join/mg_join.cc: virtual (paper-scale) volumes.
-std::uint64_t Scale(std::uint64_t n, double s) {
-  return static_cast<std::uint64_t>(
-      std::llround(static_cast<double>(n) * s));
-}
-
 // Flow ids encode (query index << shift) | per-query ordinal, so the
 // deliver callback maps a packet back to its query with one shift — no
 // map lookup on the per-packet path.
 constexpr int kFlowIdShift = 20;
 
-/// One query after its host phases ran: the functional join result, the
-/// cost-model inputs (admission-relative), the untimed flow set, and
-/// the mutable state of the shared simulation.
-struct PreparedQuery {
-  QuerySpec spec;
-  std::vector<net::Flow> flows;  ///< available_at/rate/tag set at admit
-  std::uint64_t payload_bytes = 0;
-  sim::SimTime hist_end = 0;
-  std::vector<sim::SimTime> gp_time;     // per dense GPU
-  std::vector<sim::SimTime> lp_time;     // per dense GPU
-  std::vector<sim::SimTime> probe_time;  // per dense GPU
-  sim::SimTime residual = 0;  ///< last packet's local-partition pass
-  std::uint64_t matches = 0;
-  std::uint64_t checksum = 0;
+/// One distinct dataset of a run: its host-side preparation and its solo
+/// latency, shared by every query over it.
+struct Dataset {
+  data::GenOptions gen;
+  join::PreparedJoin prepared;
   sim::SimTime solo_latency = 0;
-  // Shared-run state.
+};
+
+/// One query's state in the shared simulation.
+struct QueryState {
+  const QuerySpec* spec = nullptr;
+  const Dataset* dataset = nullptr;
   sim::SimTime admit_at = 0;
   sim::SimTime complete_at = 0;
   std::vector<sim::SimTime> last_arrival;  // per dense GPU, absolute
@@ -56,187 +40,6 @@ struct PreparedQuery {
   std::uint64_t pending = 0;
   bool done = false;
 };
-
-/// Runs the host-side phases of one query (mirrors the functional parts
-/// of join/mg_join.cc) and captures every cost-model input the timing
-/// layer needs, as offsets from the query's future admission time.
-PreparedQuery PrepareQuery(const topo::Topology& topo,
-                           const std::vector<int>& gpus,
-                           const join::MgJoinOptions& jopts,
-                           const QuerySpec& spec) {
-  const int g = static_cast<int>(gpus.size());
-  const double vs = jopts.virtual_scale;
-  const gpusim::KernelModel kernels(jopts.gpu);
-
-  PreparedQuery p;
-  p.spec = spec;
-  p.gp_time.assign(g, 0);
-  p.lp_time.assign(g, 0);
-  p.probe_time.assign(g, 0);
-  p.last_arrival.assign(g, 0);
-
-  data::GenOptions gen = spec.gen;
-  gen.num_gpus = g;
-  auto [r, s] = data::MakeJoinInput(gen);
-
-  // Phase 1: histograms (barrier across GPUs).
-  const int radix_bits = jopts.radix_bits_override > 0
-                             ? jopts.radix_bits_override
-                             : join::RadixBitsFor(jopts.gpu, r.domain_bits);
-  const join::HistogramSet hist_r = join::BuildHistograms(r, radix_bits);
-  const join::HistogramSet hist_s = join::BuildHistograms(s, radix_bits);
-  for (int d = 0; d < g; ++d) {
-    const std::uint64_t n =
-        Scale(r.shards[d].size() + s.shards[d].size(), vs);
-    p.hist_end =
-        std::max(p.hist_end, kernels.HistogramTime(n, data::kTupleBytes));
-  }
-
-  // Phase 2: assignment, partition kernel, functional shuffle.
-  join::AssignmentOptions aopts;
-  aopts.strategy = jopts.assignment;
-  aopts.heavy_hitter_factor = jopts.heavy_hitter_factor;
-  aopts.packet_bytes = jopts.transfer.packet_bytes;
-  const join::PartitionAssignment assignment =
-      join::ComputeAssignment(topo, gpus, hist_r, hist_s, aopts);
-  for (int d = 0; d < g; ++d) {
-    const std::uint64_t n =
-        Scale(r.shards[d].size() + s.shards[d].size(), vs);
-    p.gp_time[d] = kernels.PartitionPassTime(n, data::kTupleBytes);
-  }
-  join::ShuffleOptions sopts;
-  sopts.use_compression = jopts.use_compression;
-  sopts.virtual_scale = vs;
-  join::ShuffleResult shuffle =
-      join::ShufflePartitions(r, s, radix_bits, assignment, gpus, sopts);
-  p.flows = std::move(shuffle.flows);
-  for (const net::Flow& f : p.flows) p.payload_bytes += f.bytes;
-
-  // Phases 3+4: functional local join + per-GPU cost-model inputs.
-  for (int d = 0; d < g; ++d) {
-    std::uint64_t pass_tuples = 0;
-    std::uint64_t recv_r = 0, recv_s = 0;
-    for (std::size_t part = 0; part < shuffle.r_recv[d].size(); ++part) {
-      const std::uint64_t rv = Scale(shuffle.r_recv[d][part].size(), vs);
-      const std::uint64_t sv = Scale(shuffle.s_recv[d][part].size(), vs);
-      recv_r += rv;
-      recv_s += sv;
-      const std::uint64_t small_side = std::min(rv, sv);
-      if (small_side == 0) continue;
-      int depth = 0;
-      double remaining = static_cast<double>(small_side);
-      while (remaining >
-                 static_cast<double>(jopts.local.shared_mem_tuples) &&
-             depth < jopts.local.max_depth) {
-        ++depth;
-        remaining /= static_cast<double>(1u << jopts.local.bits_per_pass);
-      }
-      pass_tuples += (rv + sv) * static_cast<std::uint64_t>(depth);
-    }
-    join::LocalJoinOptions lopts = jopts.local;
-    lopts.materialize_pairs = false;
-    const join::LocalJoinStats stats = join::LocalPartitionAndProbe(
-        &shuffle.r_recv[d], &shuffle.s_recv[d], lopts);
-    p.matches += stats.matches;
-    p.checksum += stats.checksum;
-    p.lp_time[d] =
-        kernels.PartitionPassTime(pass_tuples, data::kTupleBytes);
-    p.probe_time[d] = kernels.ProbeTime(
-        recv_r, recv_s, Scale(stats.matches, vs), data::kTupleBytes);
-  }
-  p.residual = kernels.PartitionPassTime(
-      jopts.transfer.packet_bytes / data::kTupleBytes, data::kTupleBytes);
-  return p;
-}
-
-/// End-to-end completion time of an admitted query, given the arrival
-/// times its packets saw on the (shared or solo) fabric. Mirrors the
-/// per-GPU dependency chain of join/mg_join.cc, shifted to admit_at.
-sim::SimTime CompleteTime(const PreparedQuery& p, bool overlap) {
-  const sim::SimTime base = p.admit_at + p.hist_end;
-  sim::SimTime join_end = base;
-  const int g = static_cast<int>(p.gp_time.size());
-  for (int d = 0; d < g; ++d) {
-    const sim::SimTime compute_end = base + p.gp_time[d] + p.lp_time[d];
-    sim::SimTime probe_start;
-    if (overlap) {
-      // Local partitioning consumes packets as they arrive; the last
-      // packet still needs one pass through the local pipeline.
-      const sim::SimTime data_end = p.last_arrival[d] == 0
-                                        ? compute_end
-                                        : p.last_arrival[d] + p.residual;
-      probe_start = std::max(compute_end, data_end);
-    } else {
-      const sim::SimTime dist_end =
-          p.payload_bytes == 0 ? base : std::max(p.last_delivery, base);
-      probe_start = std::max(dist_end, base + p.gp_time[d]) + p.lp_time[d];
-    }
-    join_end = std::max(join_end, probe_start + p.probe_time[d]);
-  }
-  return join_end;
-}
-
-/// Applies a query's timing knobs (availability, generation rate, tag,
-/// flow id) and feeds its flows into `engine`.
-void AdmitFlows(const PreparedQuery& p, std::size_t query_index,
-                sim::SimTime admit_at, const join::MgJoinOptions& jopts,
-                const std::vector<int>& dense,
-                net::TransferEngine* engine) {
-  for (std::size_t i = 0; i < p.flows.size(); ++i) {
-    net::Flow f = p.flows[i];
-    f.id = (static_cast<std::uint64_t>(query_index) << kFlowIdShift) |
-           static_cast<std::uint64_t>(i);
-    f.priority = p.spec.priority;
-    f.tag.query_id = p.spec.query_id;
-    f.tag.phase = "shuffle";
-    const int src_dense = dense[f.src_gpu];
-    if (jopts.overlap) {
-      f.available_at = admit_at + p.hist_end;
-      f.generation_rate =
-          static_cast<double>(f.bytes) /
-          std::max(1e-9, sim::ToSeconds(p.gp_time[src_dense]));
-    } else {
-      f.available_at = admit_at + p.hist_end + p.gp_time[src_dense];
-      f.generation_rate = 0.0;
-    }
-    engine->AddFlow(f);
-  }
-}
-
-/// Runs one query alone on an idle, healthy fabric (no faults, FIFO, no
-/// observability) and returns its admission→completion latency — the
-/// denominator of the slowdown column.
-sim::SimTime SoloLatency(const topo::Topology* topo,
-                         const std::vector<int>& gpus,
-                         const std::vector<int>& dense,
-                         const join::MgJoinOptions& jopts,
-                         const PreparedQuery& prepared) {
-  PreparedQuery p = prepared;  // private arrival state
-  p.admit_at = 0;
-  if (p.payload_bytes == 0) return CompleteTime(p, jopts.overlap);
-  sim::Simulator sim(
-      sim::Simulator::ResolveSimThreads(jopts.transfer.sim_threads) > 0
-          ? sim::QueueKind::kParallel
-          : sim::QueueKind::kCalendar);
-  auto policy =
-      net::MakePolicy(jopts.policy, jopts.transfer.max_intermediates);
-  net::TransferOptions topts = jopts.transfer;
-  topts.obs = obs::ObsHooks{};  // timing only: no sinks, default auditor
-  topts.faults = net::FaultPlan{};
-  topts.arbitration = net::ArbitrationKind::kFifo;
-  net::TransferEngine engine(&sim, topo, gpus, policy.get(), topts);
-  engine.set_deliver_callback(
-      [&](const net::Packet& pkt, sim::SimTime when) {
-        sim::SimTime& at = p.last_arrival[dense[pkt.final_dst()]];
-        at = std::max(at, when);
-        p.last_delivery = std::max(p.last_delivery, when);
-      });
-  AdmitFlows(p, 0, 0, jopts, dense, &engine);
-  engine.Start();
-  sim.Run();
-  MGJ_CHECK(engine.AllDone()) << "solo baseline did not complete";
-  return CompleteTime(p, jopts.overlap);
-}
 
 }  // namespace
 
@@ -246,10 +49,6 @@ QueryScheduler::QueryScheduler(const topo::Topology* topo,
     : topo_(topo), gpus_(std::move(gpus)), options_(std::move(options)) {
   MGJ_CHECK(topo_ != nullptr);
   MGJ_CHECK(!gpus_.empty());
-  if (options_.join.local.shared_mem_tuples == 0) {
-    options_.join.local.shared_mem_tuples =
-        options_.join.gpu.SharedMemTuples(data::kTupleBytes);
-  }
   if (options_.join.host_threads > 0) {
     ThreadPool::SetDefaultThreads(
         static_cast<std::size_t>(options_.join.host_threads));
@@ -277,26 +76,45 @@ Result<ServiceResult> QueryScheduler::Run(
     }
   }
 
-  std::vector<int> dense(topo_->num_gpus(), -1);
-  for (std::size_t d = 0; d < gpus_.size(); ++d) {
-    dense[gpus_[d]] = static_cast<int>(d);
-  }
+  // ---- Host phases, once per distinct dataset: generation, the
+  // functional join and the solo baseline all run before the shared
+  // simulation, so its event loop is pure timing. The preparing join is
+  // timing-only (no obs sinks, no faults, FIFO): its host-phase timers
+  // stay out of the run's metrics, and its Simulate is the solo run on
+  // an idle, healthy fabric. Both caches live for this Run only.
+  join::MgJoinOptions solo_opts = options_.join;
+  solo_opts.transfer.obs = obs::ObsHooks{};
+  solo_opts.transfer.faults = net::FaultPlan{};
+  solo_opts.transfer.arbitration = net::ArbitrationKind::kFifo;
+  solo_opts.materialize_pairs = false;
+  solo_opts.host_threads = 0;  // the constructor already applied it
+  solo_opts.query_id = 0;
+  const join::MgJoin solo_join(topo_, gpus_, solo_opts);
 
-  // ---- Host phases: every query's functional join + cost-model inputs
-  // run before the simulation, so the event loop is pure timing.
-  std::vector<PreparedQuery> prepared;
-  prepared.reserve(queries.size());
-  for (const QuerySpec& spec : queries) {
-    prepared.push_back(PrepareQuery(*topo_, gpus_, options_.join, spec));
-    MGJ_CHECK(prepared.back().flows.size() <
-              (std::size_t{1} << kFlowIdShift))
-        << "query " << spec.query_id << " has too many flows";
-  }
-  if (options_.measure_solo) {
-    for (PreparedQuery& p : prepared) {
-      p.solo_latency =
-          SoloLatency(topo_, gpus_, dense, options_.join, p);
+  std::deque<Dataset> datasets;  // stable addresses for QueryState
+  std::vector<QueryState> states(queries.size());
+  for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+    data::GenOptions gen = queries[qi].gen;
+    gen.num_gpus = static_cast<int>(gpus_.size());
+    const Dataset* dataset = nullptr;
+    for (const Dataset& d : datasets) {
+      if (d.gen == gen) dataset = &d;
     }
+    if (dataset == nullptr) {
+      Dataset& d = datasets.emplace_back();
+      d.gen = gen;
+      const auto [r, s] = data::MakeJoinInput(gen);
+      MGJ_ASSIGN_OR_RETURN(d.prepared, solo_join.Prepare(r, s));
+      MGJ_CHECK(d.prepared.flows.size() < (std::size_t{1} << kFlowIdShift))
+          << "query " << queries[qi].query_id << " has too many flows";
+      if (options_.measure_solo) {
+        d.solo_latency = solo_join.Simulate(d.prepared).timing.total;
+      }
+      dataset = &d;
+    }
+    states[qi].spec = &queries[qi];
+    states[qi].dataset = dataset;
+    states[qi].last_arrival.assign(gpus_.size(), 0);
   }
 
   // ---- Shared fabric: one simulator, one engine, all tenants. The
@@ -324,21 +142,21 @@ Result<ServiceResult> QueryScheduler::Run(
   std::function<void()> try_admit;
 
   schedule_completion = [&](std::size_t qi) {
-    PreparedQuery& p = prepared[qi];
-    const sim::SimTime end = CompleteTime(p, options_.join.overlap);
+    const QueryState& q = states[qi];
+    const sim::SimTime end = q.dataset->prepared.CompleteTime(
+        q.admit_at, q.last_arrival, q.last_delivery);
     MGJ_CHECK(end >= sim.Now()) << "completion scheduled in the past";
     sim.ScheduleAt(end, [&, qi] {
-      PreparedQuery& q = prepared[qi];
+      QueryState& q = states[qi];
       q.done = true;
       q.complete_at = sim.Now();
       --active;
       if (tr != nullptr) {
-        tr->Span(tr->Track("svc.q" +
-                           std::to_string(q.spec.query_id)),
+        tr->Span(tr->Track("svc.q" + std::to_string(q.spec->query_id)),
                  "svc", "query", q.admit_at, q.complete_at,
-                 {{"query", q.spec.query_id},
-                  {"payload_bytes", q.payload_bytes},
-                  {"matches", q.matches}});
+                 {{"query", q.spec->query_id},
+                  {"payload_bytes", q.dataset->prepared.payload_bytes},
+                  {"matches", q.dataset->prepared.matches}});
       }
       try_admit();
     });
@@ -350,13 +168,14 @@ Result<ServiceResult> QueryScheduler::Run(
             active < options_.inflight_limit)) {
       const std::size_t qi = admit_queue.front();
       admit_queue.pop_front();
-      PreparedQuery& p = prepared[qi];
-      p.admit_at = sim.Now();
+      QueryState& q = states[qi];
+      const join::PreparedJoin& p = q.dataset->prepared;
+      q.admit_at = sim.Now();
       admission_order.push_back(qi);
       ++active;
       if (tr != nullptr) {
         tr->Instant(svc_track, "svc", "admit", sim.Now(),
-                    {{"query", p.spec.query_id},
+                    {{"query", q.spec->query_id},
                      {"active", static_cast<std::uint64_t>(active)}});
       }
       if (p.payload_bytes == 0) {
@@ -365,8 +184,10 @@ Result<ServiceResult> QueryScheduler::Run(
         schedule_completion(qi);
         continue;
       }
-      p.pending = p.payload_bytes;
-      AdmitFlows(p, qi, p.admit_at, options_.join, dense, &engine);
+      q.pending = p.payload_bytes;
+      p.AdmitFlows(&engine, q.admit_at,
+                   static_cast<std::uint64_t>(qi) << kFlowIdShift,
+                   q.spec->query_id, q.spec->priority);
     }
   };
 
@@ -374,22 +195,22 @@ Result<ServiceResult> QueryScheduler::Run(
       [&](const net::Packet& pkt, sim::SimTime when) {
         const std::size_t qi =
             static_cast<std::size_t>(pkt.flow_id >> kFlowIdShift);
-        PreparedQuery& p = prepared[qi];
-        sim::SimTime& at = p.last_arrival[dense[pkt.final_dst()]];
+        QueryState& q = states[qi];
+        sim::SimTime& at =
+            q.last_arrival[q.dataset->prepared.dense[pkt.final_dst()]];
         at = std::max(at, when);
-        p.last_delivery = std::max(p.last_delivery, when);
-        MGJ_CHECK(p.pending >= pkt.payload_bytes);
-        p.pending -= pkt.payload_bytes;
-        if (p.pending == 0) schedule_completion(qi);
+        q.last_delivery = std::max(q.last_delivery, when);
+        MGJ_CHECK(q.pending >= pkt.payload_bytes);
+        q.pending -= pkt.payload_bytes;
+        if (q.pending == 0) schedule_completion(qi);
       });
 
-  for (std::size_t qi = 0; qi < prepared.size(); ++qi) {
-    const PreparedQuery& p = prepared[qi];
-    sim.ScheduleAt(p.spec.submit_at, [&, qi] {
+  for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+    sim.ScheduleAt(queries[qi].submit_at, [&, qi] {
       admit_queue.push_back(qi);
       if (tr != nullptr) {
         tr->Instant(svc_track, "svc", "submit", sim.Now(),
-                    {{"query", prepared[qi].spec.query_id}});
+                    {{"query", queries[qi].query_id}});
       }
       try_admit();
     });
@@ -406,21 +227,22 @@ Result<ServiceResult> QueryScheduler::Run(
   out.tenancy.inflight_limit = options_.inflight_limit;
   sim::SimTime last_complete = 0;
   for (const std::size_t qi : admission_order) {
-    const PreparedQuery& p = prepared[qi];
-    MGJ_CHECK(p.done) << "query " << p.spec.query_id << " never completed";
+    const QueryState& s = states[qi];
+    const join::PreparedJoin& p = s.dataset->prepared;
+    MGJ_CHECK(s.done) << "query " << s.spec->query_id << " never completed";
     obs::report::QueryOutcome q;
-    q.query_id = p.spec.query_id;
-    q.priority = p.spec.priority;
-    q.submit_at = p.spec.submit_at;
-    q.admit_at = p.admit_at;
-    q.complete_at = p.complete_at;
+    q.query_id = s.spec->query_id;
+    q.priority = s.spec->priority;
+    q.submit_at = s.spec->submit_at;
+    q.admit_at = s.admit_at;
+    q.complete_at = s.complete_at;
     q.payload_bytes = p.payload_bytes;
     q.matches = p.matches;
-    q.solo_latency = p.solo_latency;
+    q.solo_latency = s.dataset->solo_latency;
     out.tenancy.queries.push_back(q);
     out.total_matches += p.matches;
     out.checksum += p.checksum;
-    last_complete = std::max(last_complete, p.complete_at);
+    last_complete = std::max(last_complete, s.complete_at);
   }
   MGJ_CHECK(out.tenancy.queries.size() == queries.size())
       << "not every query was admitted";

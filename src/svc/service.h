@@ -21,6 +21,8 @@ struct QuerySpec {
   std::uint64_t query_id = 0;
   /// Workload generator parameters. num_gpus is overridden with the
   /// scheduler's GPU count; vary `seed` to give tenants distinct data.
+  /// Queries with identical options (after that override) join the same
+  /// data and share one generation and MgJoin::Prepare within a Run.
   data::GenOptions gen;
   /// Strict-priority class under ArbitrationKind::kPriority (higher
   /// wins); ignored by the other policies.
@@ -40,8 +42,10 @@ struct ServiceOptions {
   int inflight_limit = 0;
   /// How the shared links order competing queries.
   net::ArbitrationKind arbitration = net::ArbitrationKind::kFifo;
-  /// Also run every query alone on an idle, healthy fabric to fill the
-  /// slowdown-vs-solo column (roughly doubles the simulation work).
+  /// Also run each distinct dataset once alone on an idle, healthy
+  /// fabric (no faults, FIFO) to fill the slowdown-vs-solo column. A
+  /// solo latency depends only on the prepared data, so every query over
+  /// that dataset shares it.
   bool measure_solo = true;
 };
 
@@ -58,8 +62,9 @@ struct ServiceResult {
 /// \brief Multi-tenant query scheduler layered on the event simulator
 /// (DESIGN.md Sec 15).
 ///
-/// Each query's host phases run up front (functional join, cost-model
-/// inputs); the simulation then interleaves all queries' shuffle flows
+/// The host phases run up front, once per distinct dataset
+/// (MgJoin::Prepare: functional join, cost-model inputs); the
+/// simulation then interleaves all queries' shuffle flows
 /// on one shared fabric: an admission queue with a configurable
 /// in-flight limit, per-query FlowTag attribution end to end, and link
 /// arbitration (FIFO / fair-share / strict priority) deciding who gets

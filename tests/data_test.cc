@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "common/random.h"
 #include "data/compression.h"
@@ -62,6 +64,27 @@ TEST(GeneratorTest, DeterministicBySeed) {
   opts.seed = 43;
   auto [r3, s3] = MakeJoinInput(opts);
   EXPECT_NE(r1.shards[0], r3.shards[0]);
+}
+
+TEST(GeneratorTest, OptionsDifferingInAnyFieldAreUnequal) {
+  // GenOptions equality keys the service's per-run dataset cache, so
+  // two options that generate different data must never compare equal.
+  // A new field breaks this assert: give it a mutation below.
+  static_assert(sizeof(GenOptions) == 40, "add the new field's mutation");
+  const std::vector<std::function<void(GenOptions*)>> mutations = {
+      [](GenOptions* o) { o->tuples_per_relation += 1; },
+      [](GenOptions* o) { o->num_gpus += 1; },
+      [](GenOptions* o) { o->placement_zipf += 0.25; },
+      [](GenOptions* o) { o->key_zipf += 0.25; },
+      [](GenOptions* o) { o->seed += 1; },
+  };
+  const GenOptions base;
+  EXPECT_TRUE(base == GenOptions{});
+  for (std::size_t i = 0; i < mutations.size(); ++i) {
+    GenOptions changed = base;
+    mutations[i](&changed);
+    EXPECT_FALSE(changed == base) << "field " << i;
+  }
 }
 
 TEST(GeneratorTest, PlacementZipfSkewsShardSizes) {

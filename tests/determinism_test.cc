@@ -338,8 +338,38 @@ struct ServiceRun {
   std::uint64_t checksum = 0;
 };
 
-ServiceRun RunFaultedService(std::size_t threads, net::ArbitrationKind kind,
-                             int sim_threads = 0) {
+std::vector<svc::QuerySpec> FourTenants() {
+  std::vector<svc::QuerySpec> queries;
+  for (std::uint64_t q = 1; q <= 4; ++q) {
+    svc::QuerySpec spec;
+    spec.query_id = q;
+    spec.gen.tuples_per_relation = 1u << 14;
+    spec.gen.seed = 42 + q;
+    spec.priority = static_cast<int>(q % 3);
+    queries.push_back(spec);
+  }
+  return queries;
+}
+
+// 24 tenants over 3 shared datasets: each dataset is prepared once and
+// its PreparedJoin is admitted by 8 queries.
+std::vector<svc::QuerySpec> SharedDatasetStream() {
+  std::vector<svc::QuerySpec> queries(24);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    svc::QuerySpec& q = queries[i];
+    q.query_id = i + 1;
+    q.gen.tuples_per_relation = 1u << 14;
+    q.gen.key_zipf = i % 3 == 2 ? 1.0 : 0.0;
+    q.gen.seed = 7 + i % 3;
+    q.priority = static_cast<int>(i / 3 % 3);
+    q.submit_at = static_cast<sim::SimTime>(i) * 150 * sim::kMicrosecond;
+  }
+  return queries;
+}
+
+ServiceRun RunFaultedService(
+    std::size_t threads, net::ArbitrationKind kind, int sim_threads = 0,
+    const std::vector<svc::QuerySpec>& queries = FourTenants()) {
   ThreadPool::SetDefaultThreads(threads);
   auto topo = topo::MakeDgx1V();
   svc::ServiceOptions opts;
@@ -354,15 +384,6 @@ ServiceRun RunFaultedService(std::size_t threads, net::ArbitrationKind kind,
           .ValueOrDie();
   obs::TraceRecorder trace;
   opts.join.transfer.obs.trace = &trace;
-  std::vector<svc::QuerySpec> queries;
-  for (std::uint64_t q = 1; q <= 4; ++q) {
-    svc::QuerySpec spec;
-    spec.query_id = q;
-    spec.gen.tuples_per_relation = 1u << 14;
-    spec.gen.seed = 42 + q;
-    spec.priority = static_cast<int>(q % 3);
-    queries.push_back(spec);
-  }
   svc::QueryScheduler sched(topo.get(), topo::FirstNGpus(8), opts);
   const svc::ServiceResult res = sched.Run(queries).ValueOrDie();
   ServiceRun run;
@@ -384,6 +405,16 @@ TEST(DeterminismTest, ServiceRunInvariantAcrossThreadCounts) {
     EXPECT_EQ(run.slo_text, base.slo_text) << label;
     EXPECT_EQ(run.trace_json, base.trace_json) << label;
   }
+  // Queries sharing datasets share one preparation per dataset.
+  const std::vector<svc::QuerySpec> shared = SharedDatasetStream();
+  const ServiceRun base =
+      RunFaultedService(1, net::ArbitrationKind::kFairShare, 0, shared);
+  EXPECT_GT(base.checksum, 0u);
+  const ServiceRun run =
+      RunFaultedService(8, net::ArbitrationKind::kFairShare, 0, shared);
+  EXPECT_EQ(run.checksum, base.checksum);
+  EXPECT_EQ(run.slo_text, base.slo_text);
+  EXPECT_EQ(run.trace_json, base.trace_json);
   ThreadPool::SetDefaultThreads(0);
 }
 

@@ -16,6 +16,7 @@
 #include "join/partition_assignment.h"
 #include "join/shuffle.h"
 #include "join/umj.h"
+#include "obs/trace.h"
 #include "topo/presets.h"
 
 namespace mgjoin::join {
@@ -315,6 +316,60 @@ TEST(MgJoinTest, DprjMatchesReferenceToo) {
   ASSERT_TRUE(res.ok());
   EXPECT_EQ(res.value().matches, ref.matches);
   EXPECT_EQ(res.value().checksum, ref.checksum);
+}
+
+// Execute is exactly Prepare followed by Simulate, and a PreparedJoin
+// is immutable: simulating it again gives the same join.
+void ExpectSameJoin(const JoinResult& a, const JoinResult& b) {
+  EXPECT_EQ(a.matches, b.matches);
+  EXPECT_EQ(a.checksum, b.checksum);
+  EXPECT_EQ(a.input_tuples, b.input_tuples);
+  EXPECT_EQ(a.virtual_input_tuples, b.virtual_input_tuples);
+  EXPECT_EQ(a.shuffled_bytes, b.shuffled_bytes);
+  EXPECT_EQ(a.uncompressed_bytes, b.uncompressed_bytes);
+  EXPECT_TRUE(a.timing == b.timing);
+  EXPECT_TRUE(a.net == b.net);
+  EXPECT_TRUE(a.pairs == b.pairs);
+}
+
+TEST(MgJoinTest, ExecuteIsPrepareThenSimulate) {
+  auto topo = topo::MakeDgx1V();
+  const auto gpus = topo::FirstNGpus(8);
+  GenOptions gen;
+  gen.tuples_per_relation = 1 << 15;
+  gen.num_gpus = 8;
+  gen.key_zipf = 0.5;
+  auto [r, s] = MakeJoinInput(gen);
+
+  MgJoinOptions no_overlap;
+  no_overlap.overlap = false;
+  MgJoinOptions dprj_overlap = MgJoinOptions::Dprj();
+  dprj_overlap.overlap = true;
+  MgJoinOptions pairs;
+  pairs.materialize_pairs = true;
+  const std::vector<std::pair<const char*, MgJoinOptions>> cases = {
+      {"mg-join", MgJoinOptions{}},
+      {"dprj", MgJoinOptions::Dprj()},
+      {"mg-join no overlap", no_overlap},
+      {"dprj overlap", dprj_overlap},
+      {"materialize pairs", pairs}};
+  for (auto [name, opts] : cases) {
+    SCOPED_TRACE(name);
+    opts.virtual_scale = 64.0;  // long enough for the network to matter
+    obs::TraceRecorder exec_trace, split_trace;
+    opts.transfer.obs.trace = &exec_trace;
+    const JoinResult exec =
+        MgJoin(topo.get(), gpus, opts).Execute(r, s).ValueOrDie();
+    opts.transfer.obs.trace = &split_trace;
+    const MgJoin split(topo.get(), gpus, opts);
+    const PreparedJoin prepared = split.Prepare(r, s).ValueOrDie();
+    const JoinResult first = split.Simulate(prepared);
+    ExpectSameJoin(exec, first);
+    EXPECT_EQ(exec_trace.ToJson(), split_trace.ToJson());
+    EXPECT_GT(exec.net.packets, 0u);
+    EXPECT_EQ(exec.pairs.size(), opts.materialize_pairs ? exec.matches : 0);
+    ExpectSameJoin(split.Simulate(prepared), first);
+  }
 }
 
 TEST(MgJoinTest, UmjMatchesReference) {

@@ -10,10 +10,14 @@
 #include <vector>
 
 #include "common/units.h"
+#include "data/generator.h"
+#include "join/local_join.h"
+#include "net/fault_plan.h"
 #include "net/link_state.h"
 #include "net/packet.h"
 #include "net/routing_policy.h"
 #include "net/transfer_engine.h"
+#include "obs/metrics.h"
 #include "sim/simulator.h"
 #include "svc/service.h"
 #include "topo/presets.h"
@@ -295,6 +299,99 @@ TEST(QuerySchedulerTest, ArbitrationPolicyChangesSloProfile) {
   // The tenant policies actually pace somebody under 4-way contention.
   EXPECT_GT(by_policy["fair"].net.arb_paces, 0u);
   EXPECT_GT(by_policy["priority"].net.arb_paces, 0u);
+}
+
+// 24 tenants over 3 shared datasets (one key-skewed), one arrival
+// every 150 us; priorities cycle independently of the dataset.
+data::GenOptions SharedDataset(int d) {
+  data::GenOptions gen;
+  gen.tuples_per_relation = 1 << 14;
+  gen.key_zipf = d == 2 ? 1.0 : 0.0;
+  gen.seed = 7 + static_cast<std::uint64_t>(d);
+  return gen;
+}
+
+std::vector<svc::QuerySpec> SharedDatasetStream() {
+  std::vector<svc::QuerySpec> queries(24);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    svc::QuerySpec& q = queries[i];
+    q.query_id = i + 1;
+    q.gen = SharedDataset(static_cast<int>(i % 3));
+    q.priority = static_cast<int>(i / 3 % 3);
+    q.submit_at = static_cast<sim::SimTime>(i) * 150 * sim::kMicrosecond;
+  }
+  return queries;
+}
+
+TEST(QuerySchedulerTest, SharedDatasetsPrepareOnceWithExactSoloLatency) {
+  auto topo = MakeDgx1V();
+  const auto gpus = topo::FirstNGpus(8);
+  // The faults start at once, so a solo run that kept them would differ.
+  svc::ServiceOptions faulted;
+  faulted.arbitration = ArbitrationKind::kFairShare;
+  faulted.inflight_limit = 8;
+  faulted.join.virtual_scale = 256.0;
+  faulted.join.transfer.faults =
+      net::FaultPlan::Parse(
+          "degrade:qpi0:0.4:@0us,down:gpu0-gpu3:@0us,"
+          "down:gpu4-gpu7:@100us,restore:gpu4-gpu7:@2ms,"
+          "restore:gpu0-gpu3:@2ms",
+          *topo)
+          .ValueOrDie();
+  svc::ServiceOptions with_metrics = faulted;
+  obs::MetricsRegistry metrics;
+  with_metrics.join.transfer.obs.metrics = &metrics;
+  const std::vector<svc::QuerySpec> queries = SharedDatasetStream();
+  const svc::ServiceResult res =
+      svc::QueryScheduler(topo.get(), gpus, with_metrics)
+          .Run(queries)
+          .ValueOrDie();
+  ASSERT_EQ(res.tenancy.queries.size(), queries.size());
+  EXPECT_GT(res.net.arb_paces, 0u);
+
+  // Every query over a dataset joins exactly that dataset.
+  std::uint64_t matches = 0, checksum = 0;
+  std::vector<sim::SimTime> solo(3);
+  for (int d = 0; d < 3; ++d) {
+    data::GenOptions gen = SharedDataset(d);
+    gen.num_gpus = static_cast<int>(gpus.size());
+    const auto [r, s] = data::MakeJoinInput(gen);
+    const join::LocalJoinStats ref = join::ReferenceJoin(r, s);
+    matches += 8 * ref.matches;
+    checksum += 8 * ref.checksum;
+
+    // The dataset alone, under another id and priority: its solo
+    // latency is the shared one, and equals the latency of the query
+    // alone on a healthy FIFO fabric.
+    svc::QuerySpec alone;
+    alone.query_id = 1000 + static_cast<std::uint64_t>(d);
+    alone.gen = SharedDataset(d);
+    alone.priority = 2 - d;
+    solo[d] = svc::QueryScheduler(topo.get(), gpus, faulted)
+                  .Run({alone})
+                  .ValueOrDie()
+                  .tenancy.queries[0]
+                  .solo_latency;
+    svc::ServiceOptions healthy;
+    healthy.join.virtual_scale = faulted.join.virtual_scale;
+    const svc::ServiceResult idle =
+        svc::QueryScheduler(topo.get(), gpus, healthy)
+            .Run({alone})
+            .ValueOrDie();
+    EXPECT_EQ(idle.tenancy.queries[0].Latency(), solo[d]) << d;
+  }
+  EXPECT_EQ(res.total_matches, matches);
+  EXPECT_EQ(res.checksum, checksum);
+  for (const obs::report::QueryOutcome& q : res.tenancy.queries) {
+    EXPECT_GT(q.solo_latency, 0u);
+    EXPECT_EQ(q.solo_latency, solo[(q.query_id - 1) % 3]) << q.query_id;
+  }
+
+  // The host phases' wall timers stay out of the run's metrics.
+  EXPECT_FALSE(metrics.counters().empty());
+  for (const auto& [name, counter] : metrics.counters()) {
+    EXPECT_FALSE(name.ends_with(".wall_us")) << name;
+  }
 }
 
 }  // namespace
