@@ -1,6 +1,7 @@
 // Component microbenchmarks (google-benchmark): functional-layer hot
-// paths — histogram build, radix bucketing, compression codec, local
-// join, routing decisions and the event simulator itself.
+// paths — histogram build, shuffle, compression codec, local join,
+// ParallelFor dispatch, routing decisions and the event simulator
+// itself.
 //
 // The BM_SimulatorCore / BM_TransferEngineShuffle family additionally
 // exports an events-per-second + packets-per-second series document
@@ -20,10 +21,14 @@
 #include "bench/bench_util.h"
 #include "common/logging.h"
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "data/compression.h"
 #include "data/generator.h"
+#include "gpusim/gpu.h"
 #include "join/histogram.h"
 #include "join/local_join.h"
+#include "join/partition_assignment.h"
+#include "join/shuffle.h"
 #include "net/link_state.h"
 #include "net/routing_policy.h"
 #include "net/transfer_engine.h"
@@ -70,15 +75,60 @@ void BM_LocalJoin(benchmark::State& state) {
   opts.tuples_per_relation = static_cast<std::uint64_t>(state.range(0));
   opts.num_gpus = 1;
   auto [r, s] = data::MakeJoinInput(opts);
+  const join::PartitionedTuples rp({r.shards[0]}), sp({s.shards[0]});
   for (auto _ : state) {
-    std::vector<std::vector<data::Tuple>> rp{r.shards[0]};
-    std::vector<std::vector<data::Tuple>> sp{s.shards[0]};
     benchmark::DoNotOptimize(
         join::LocalPartitionAndProbe(&rp, &sp, join::LocalJoinOptions{}));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0) * 2);
 }
-BENCHMARK(BM_LocalJoin)->Arg(1 << 14)->Arg(1 << 18);
+BENCHMARK(BM_LocalJoin)->Arg(1 << 14)->Arg(1 << 18)->UseRealTime();
+
+// One ShufflePartitions call on 8 GPUs of a DGX-1V, network-optimal
+// assignment, compression on. Arg 0 = tuples per GPU per relation; arg
+// 1 = skewed (placement zipf 0.5, key zipf 1.0). 8,192 uniform is a
+// serve_mixed dataset; 1M skewed is perfbench's host_skew8 input.
+void BM_ShufflePartitions(benchmark::State& state) {
+  auto topo = topo::MakeDgx1V();
+  const std::vector<int> gpus = topo::FirstNGpus(8);
+  data::GenOptions opts;
+  opts.tuples_per_relation = static_cast<std::uint64_t>(state.range(0)) * 8;
+  opts.num_gpus = 8;
+  if (state.range(1) != 0) {
+    opts.placement_zipf = 0.5;
+    opts.key_zipf = 1.0;
+  }
+  auto [r, s] = data::MakeJoinInput(opts);
+  const int radix_bits =
+      join::RadixBitsFor(gpusim::GpuSpec::V100(), r.domain_bits);
+  const auto assignment = join::ComputeAssignment(
+      *topo, gpus, join::BuildHistograms(r, radix_bits),
+      join::BuildHistograms(s, radix_bits), join::AssignmentOptions{});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(join::ShufflePartitions(
+        r, s, radix_bits, assignment, gpus, join::ShuffleOptions{}));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(opts.tuples_per_relation) *
+                          2);
+}
+BENCHMARK(BM_ShufflePartitions)
+    ->Args({8192, 0})
+    ->Args({1 << 20, 1})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+// Per-index dispatch cost of ParallelFor: 4,096 near-empty indices.
+void BM_ParallelForDispatch(benchmark::State& state) {
+  std::vector<std::uint64_t> out(4096);
+  for (auto _ : state) {
+    ParallelFor(0, out.size(), [&out](std::size_t i) { out[i] += i; });
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(out.size()));
+}
+BENCHMARK(BM_ParallelForDispatch)->UseRealTime();
 
 void BM_RouteEnumeration(benchmark::State& state) {
   auto topo = topo::MakeDgx1V();

@@ -1,6 +1,7 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <memory>
 #include <utility>
@@ -128,9 +129,9 @@ void ParallelFor(std::size_t begin, std::size_t end,
   if (end <= begin) return;
   const std::size_t n = end - begin;
   if (ThreadPool::InWorker()) {
-    // Nested parallel section: run inline on this worker. Blocking in
-    // Wait() here would deadlock the pool, and re-submitting would fan
-    // out N^2 tasks.
+    // Nested parallel section: run inline on this worker. Blocking here
+    // on the pool it runs on could deadlock it, and re-submitting would
+    // fan out N^2 tasks.
     for (std::size_t i = begin; i < end; ++i) fn(i);
     return;
   }
@@ -139,10 +140,51 @@ void ParallelFor(std::size_t begin, std::size_t end,
     for (std::size_t i = begin; i < end; ++i) fn(i);
     return;
   }
-  for (std::size_t i = begin; i < end; ++i) {
-    pool->Submit([i, &fn] { fn(i); });
+
+  // Shared by the participants. Helper tasks own it too, because one
+  // may start only after the caller has returned.
+  struct Claim {
+    std::atomic<std::size_t> next;
+    std::size_t end;
+    const std::function<void(std::size_t)>* fn;
+    std::atomic<int> active{0};
+    std::mutex mu;
+    std::exception_ptr error;
+  };
+  auto claim = std::make_shared<Claim>();
+  claim->next.store(begin);
+  claim->end = end;
+  claim->fn = &fn;
+  // A participant registers in `active` before it claims, so once the
+  // range is exhausted (or cancelled) and `active` reads zero, no late
+  // helper can still reach `fn`.
+  auto participate = [](Claim& c) {
+    c.active.fetch_add(1);
+    try {
+      for (std::size_t i = c.next.fetch_add(1); i < c.end;
+           i = c.next.fetch_add(1)) {
+        (*c.fn)(i);
+      }
+    } catch (...) {
+      c.next.store(c.end);  // cancel the indices not yet claimed
+      std::lock_guard<std::mutex> lock(c.mu);
+      if (c.error == nullptr) c.error = std::current_exception();
+    }
+    if (c.active.fetch_sub(1) == 1) c.active.notify_all();
+  };
+  const std::size_t helpers = std::min(n, pool->num_threads()) - 1;
+  for (std::size_t h = 0; h < helpers; ++h) {
+    pool->Submit([claim, participate] { participate(*claim); });
   }
-  pool->Wait();
+  // The caller claims too, as a worker (nested calls run inline), so a
+  // short range never waits for a sleeping pool thread to wake.
+  tls_in_worker = true;
+  participate(*claim);
+  tls_in_worker = false;
+  for (int a = claim->active.load(); a != 0; a = claim->active.load()) {
+    claim->active.wait(a);
+  }
+  if (claim->error != nullptr) std::rethrow_exception(claim->error);
 }
 
 void ParallelForChunked(

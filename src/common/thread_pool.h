@@ -61,10 +61,11 @@ class ThreadPool {
   /// InWorker()).
   static std::size_t ResolveThreadCount(long requested);
 
-  /// True on a pool worker thread. ParallelFor uses this to run nested
-  /// parallel sections inline: a worker that blocked in Wait() on the
-  /// pool it runs on would deadlock, and re-submitting would fan tasks
-  /// out quadratically.
+  /// True on a pool worker thread, and on a caller while it runs its
+  /// share of a ParallelFor. ParallelFor uses this to run nested
+  /// parallel sections inline: a worker that blocked on the pool it
+  /// runs on could deadlock it, and re-submitting would fan tasks out
+  /// quadratically.
   static bool InWorker();
 
  private:
@@ -80,10 +81,24 @@ class ThreadPool {
   std::vector<std::thread> threads_;
 };
 
-/// Runs fn(i) for i in [begin, end) across the default pool, blocking
-/// until all iterations complete. Falls back to serial execution for
-/// small ranges and when already inside a pool worker (nested use).
-/// Exceptions thrown by `fn` propagate to the caller.
+/// \brief Runs fn(i) for i in [begin, end) across the default pool,
+/// blocking until all iterations complete.
+///
+/// Dispatch is by dynamic claim: the calling thread and
+/// min(n, num_threads) - 1 pool tasks each claim the next index from a
+/// shared atomic counter until the range is exhausted, so an index
+/// costs one atomic increment rather than a queued task, and a short
+/// range never waits for a sleeping pool thread to wake. Which thread
+/// runs an index varies from run to run; each fn(i) runs exactly once,
+/// so output written to a slot owned by `i` is thread-count invariant.
+/// `fn` runs on pool worker threads as well as the caller's, and must
+/// be safe to call concurrently for distinct indices.
+///
+/// Falls back to serial execution for ranges of one index, a one-thread
+/// pool, and when already inside a pool worker or another ParallelFor
+/// (nested use runs inline). If `fn` throws, the indices not yet
+/// claimed are skipped, the ones in progress finish, and the first
+/// exception is rethrown to the caller; the pool stays usable.
 void ParallelFor(std::size_t begin, std::size_t end,
                  const std::function<void(std::size_t)>& fn);
 

@@ -126,14 +126,13 @@ std::uint64_t EstimateCompressedBytes(const Tuple* tuples, std::size_t n,
   for (std::size_t start = 0; start < n; start += kIdsPerBlock) {
     const std::size_t end = std::min(n, start + kIdsPerBlock);
     std::uint32_t min_id = tuples[start].id;
-    std::uint32_t max_delta = 0;
+    std::uint32_t max_id = min_id;
     for (std::size_t i = start; i < end; ++i) {
       min_id = std::min(min_id, tuples[i].id);
+      max_id = std::max(max_id, tuples[i].id);
     }
-    for (std::size_t i = start; i < end; ++i) {
-      max_delta = std::max(max_delta, tuples[i].id - min_id);
-    }
-    const int delta_bits = std::min(32, BitsFor(max_delta) + extra_bits);
+    const int delta_bits =
+        std::min(32, BitsFor(max_id - min_id) + extra_bits);
     bits += 38 + static_cast<std::uint64_t>(end - start) * delta_bits;
   }
   return bits / 8 + 16;

@@ -1,10 +1,13 @@
 #ifndef MGJOIN_JOIN_JOIN_TYPES_H_
 #define MGJOIN_JOIN_JOIN_TYPES_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
+#include "data/relation.h"
 #include "net/transfer_engine.h"
 #include "sim/simulator.h"
 
@@ -60,6 +63,35 @@ struct JoinResult {
                              : static_cast<double>(virtual_input_tuples) /
                                    sim::ToSeconds(timing.total);
   }
+};
+
+/// \brief One relation's tuples at one GPU, grouped by radix partition in
+/// a single flat buffer.
+///
+/// Partition p occupies tuples[offsets[p], offsets[p + 1]); size() is
+/// the partition count and operator[](p) a read-only view of p.
+struct PartitionedTuples {
+  PartitionedTuples() = default;
+  /// Flattens per-partition vectors, keeping their order.
+  explicit PartitionedTuples(
+      const std::vector<std::vector<data::Tuple>>& parts) {
+    offsets.reserve(parts.size() + 1);
+    offsets.push_back(0);
+    for (const auto& part : parts) {
+      tuples.insert(tuples.end(), part.begin(), part.end());
+      offsets.push_back(tuples.size());
+    }
+  }
+
+  std::size_t size() const {
+    return offsets.empty() ? 0 : offsets.size() - 1;
+  }
+  std::span<const data::Tuple> operator[](std::size_t p) const {
+    return {tuples.data() + offsets[p], offsets[p + 1] - offsets[p]};
+  }
+
+  std::vector<data::Tuple> tuples;
+  std::vector<std::size_t> offsets;  ///< size() + 1 entries
 };
 
 /// Accumulates the order-independent match checksum.

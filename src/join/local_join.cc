@@ -1,6 +1,7 @@
 #include "join/local_join.h"
 
 #include <algorithm>
+#include <span>
 #include <unordered_map>
 
 #include "common/bitutil.h"
@@ -12,11 +13,23 @@ namespace mgjoin::join {
 
 namespace {
 
+using TupleSpan = std::span<const data::Tuple>;
+
+// One worker's reusable buffers: per recursion level, that level's
+// sub-buckets (they stay live while deeper levels split them), plus the
+// leaf hash table.
+struct Scratch {
+  struct Level {
+    PartitionedTuples r, s;
+  };
+  std::vector<Level> levels;
+  std::vector<std::int32_t> heads, next;
+};
+
 // Nested-loop join of one shared-memory-sized co-partition (the paper's
 // probe variant).
-void NestedLoopCoPartition(const std::vector<data::Tuple>& r,
-                           const std::vector<data::Tuple>& s,
-                           bool materialize, LocalJoinStats* stats) {
+void NestedLoopCoPartition(TupleSpan r, TupleSpan s, bool materialize,
+                           LocalJoinStats* stats) {
   for (const data::Tuple& a : r) {
     for (const data::Tuple& b : s) {
       if (a.key != b.key) continue;
@@ -29,19 +42,20 @@ void NestedLoopCoPartition(const std::vector<data::Tuple>& r,
 
 // Joins one co-partition where at least one side is small: build a tiny
 // chained hash table on the smaller side, probe with the other.
-void JoinCoPartition(const std::vector<data::Tuple>& r,
-                     const std::vector<data::Tuple>& s,
-                     bool materialize, LocalJoinStats* stats) {
+void JoinCoPartition(TupleSpan r, TupleSpan s, bool materialize,
+                     Scratch* scratch, LocalJoinStats* stats) {
   if (r.empty() || s.empty()) return;
   const bool build_r = r.size() <= s.size();
-  const auto& build = build_r ? r : s;
-  const auto& probe = build_r ? s : r;
+  const TupleSpan build = build_r ? r : s;
+  const TupleSpan probe = build_r ? s : r;
 
   const std::uint32_t slots =
       static_cast<std::uint32_t>(NextPow2(build.size() * 2));
   const std::uint32_t mask = slots - 1;
-  std::vector<std::int32_t> heads(slots, -1);
-  std::vector<std::int32_t> next(build.size(), -1);
+  std::vector<std::int32_t>& heads = scratch->heads;
+  std::vector<std::int32_t>& next = scratch->next;
+  heads.assign(slots, -1);
+  next.resize(build.size());
   for (std::size_t i = 0; i < build.size(); ++i) {
     const std::uint32_t h = HashKey(build[i].key) & mask;
     next[i] = heads[h];
@@ -65,11 +79,27 @@ void JoinCoPartition(const std::vector<data::Tuple>& r,
   }
 }
 
+// Stable counting scatter of `in` into `out`'s fanout buckets.
+template <typename BucketOf>
+void ScatterByBucket(TupleSpan in, std::uint32_t fanout, BucketOf bucket_of,
+                     PartitionedTuples* out) {
+  std::vector<std::size_t>& off = out->offsets;
+  off.assign(fanout + 1, 0);
+  for (const data::Tuple& t : in) ++off[bucket_of(t.key) + 1];
+  for (std::uint32_t b = 0; b < fanout; ++b) off[b + 1] += off[b];
+  out->tuples.resize(in.size());
+  // off[b] serves as bucket b's write cursor, ending at the start of
+  // bucket b + 1; shift back afterwards.
+  for (const data::Tuple& t : in) out->tuples[off[bucket_of(t.key)]++] = t;
+  for (std::uint32_t b = fanout - 1; b > 0; --b) off[b] = off[b - 1];
+  off[0] = 0;
+}
+
 // Recursively splits a co-partition on hash bits until one side fits
-// shared memory, then probes.
-void Recurse(std::vector<data::Tuple>&& r, std::vector<data::Tuple>&& s,
-             int depth, const LocalJoinOptions& opts,
-             LocalJoinStats* stats) {
+// shared memory, then probes. Sub-buckets are visited in ascending
+// order and keep their input order.
+void Recurse(TupleSpan r, TupleSpan s, int depth, const LocalJoinOptions& opts,
+             Scratch* scratch, LocalJoinStats* stats) {
   if (r.empty() || s.empty()) return;
   stats->max_depth = std::max(stats->max_depth, depth);
   const std::uint64_t small_side = std::min(r.size(), s.size());
@@ -77,52 +107,60 @@ void Recurse(std::vector<data::Tuple>&& r, std::vector<data::Tuple>&& s,
     if (opts.probe == ProbeAlgorithm::kNestedLoop) {
       NestedLoopCoPartition(r, s, opts.materialize_pairs, stats);
     } else {
-      JoinCoPartition(r, s, opts.materialize_pairs, stats);
+      JoinCoPartition(r, s, opts.materialize_pairs, scratch, stats);
     }
     return;
   }
   const int fanout_bits = opts.bits_per_pass;
   const std::uint32_t fanout = 1u << fanout_bits;
   const int shift = depth * fanout_bits;
+  // Widened so a shift past the 32 hash bits is defined: by then every
+  // tuple left shares its hash, hence its key and bucket.
   auto bucket_of = [&](std::uint32_t key) {
-    return (HashKey(key) >> shift) & (fanout - 1);
+    return static_cast<std::uint32_t>(
+        (static_cast<std::uint64_t>(HashKey(key)) >> shift) & (fanout - 1));
   };
-  std::vector<std::vector<data::Tuple>> rb(fanout), sb(fanout);
-  for (const data::Tuple& t : r) rb[bucket_of(t.key)].push_back(t);
-  for (const data::Tuple& t : s) sb[bucket_of(t.key)].push_back(t);
+  Scratch::Level& level = scratch->levels[static_cast<std::size_t>(depth)];
+  ScatterByBucket(r, fanout, bucket_of, &level.r);
+  ScatterByBucket(s, fanout, bucket_of, &level.s);
   stats->partition_tuple_passes += r.size() + s.size();
-  r.clear();
-  r.shrink_to_fit();
-  s.clear();
-  s.shrink_to_fit();
   for (std::uint32_t b = 0; b < fanout; ++b) {
-    Recurse(std::move(rb[b]), std::move(sb[b]), depth + 1, opts, stats);
+    Recurse(level.r[b], level.s[b], depth + 1, opts, scratch, stats);
   }
 }
 
 }  // namespace
 
-LocalJoinStats LocalPartitionAndProbe(
-    std::vector<std::vector<data::Tuple>>* r_parts,
-    std::vector<std::vector<data::Tuple>>* s_parts,
-    const LocalJoinOptions& options) {
+LocalJoinStats LocalPartitionAndProbe(const PartitionedTuples* r_parts,
+                                      const PartitionedTuples* s_parts,
+                                      const LocalJoinOptions& options) {
   MGJ_CHECK(r_parts->size() == s_parts->size());
-  // Morsel = one received co-partition: partitions share no keys, so
-  // each runs the full recursion independently into its own stats.
+  // Morsel = a fixed chunk of received co-partitions: partitions share
+  // no keys, so each runs the full recursion independently, and a
+  // chunk's partitions run in order on one scratch into the chunk's
+  // stats.
+  constexpr std::size_t kPartGrain = 16;
   const std::size_t num_parts = r_parts->size();
-  std::vector<LocalJoinStats> per_part(num_parts);
-  ParallelFor(0, num_parts, [&](std::size_t p) {
-    LocalJoinStats& st = per_part[p];
-    st.r_tuples = (*r_parts)[p].size();
-    st.s_tuples = (*s_parts)[p].size();
-    Recurse(std::move((*r_parts)[p]), std::move((*s_parts)[p]),
-            /*depth=*/0, options, &st);
+  std::vector<LocalJoinStats> per_chunk((num_parts + kPartGrain - 1) /
+                                        kPartGrain);
+  ParallelForChunked(0, num_parts, kPartGrain, [&](std::size_t lo,
+                                                   std::size_t hi) {
+    LocalJoinStats& st = per_chunk[lo / kPartGrain];
+    Scratch scratch;
+    scratch.levels.resize(static_cast<std::size_t>(
+        std::max(0, options.max_depth)));
+    for (std::size_t p = lo; p < hi; ++p) {
+      st.r_tuples += (*r_parts)[p].size();
+      st.s_tuples += (*s_parts)[p].size();
+      Recurse((*r_parts)[p], (*s_parts)[p], /*depth=*/0, options, &scratch,
+              &st);
+    }
   });
-  // Merge in canonical partition order. Counts and the checksum are
+  // Merge in canonical chunk order. Counts and the checksum are
   // additive; pairs concatenate partition-by-partition, reproducing the
   // serial iteration byte-for-byte at any thread count.
   LocalJoinStats stats;
-  for (LocalJoinStats& st : per_part) {
+  for (LocalJoinStats& st : per_chunk) {
     stats.r_tuples += st.r_tuples;
     stats.s_tuples += st.s_tuples;
     stats.matches += st.matches;

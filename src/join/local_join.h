@@ -54,11 +54,13 @@ struct LocalJoinOptions {
 };
 
 /// Runs local partitioning + probe over one GPU's received partitions
-/// (indexed by global partition id; R and S aligned).
-LocalJoinStats LocalPartitionAndProbe(
-    std::vector<std::vector<data::Tuple>>* r_parts,
-    std::vector<std::vector<data::Tuple>>* s_parts,
-    const LocalJoinOptions& options);
+/// (indexed by global partition id; R and S aligned). Reads the inputs
+/// in place. Each recursion level is a stable counting scatter, so
+/// pairs come out per partition, then per sub-bucket ascending, in
+/// probe order and chain order.
+LocalJoinStats LocalPartitionAndProbe(const PartitionedTuples* r_parts,
+                                      const PartitionedTuples* s_parts,
+                                      const LocalJoinOptions& options);
 
 /// Single-node reference hash join used as the verification oracle.
 /// Returns matches and the same order-independent checksum.

@@ -236,11 +236,13 @@ Result<PreparedJoin> MgJoin::Prepare(const data::DistRelation& r,
       pass_tuples += (rv + sv) * static_cast<std::uint64_t>(depth);
     }
 
-    // Functional local join (consumes the received buckets).
+    // Functional local join; the received buffers are released after.
     LocalJoinOptions lopts = options_.local;
     lopts.materialize_pairs = options_.materialize_pairs;
     LocalJoinStats stats = LocalPartitionAndProbe(
         &shuffle.r_recv[d], &shuffle.s_recv[d], lopts);
+    shuffle.r_recv[d] = {};
+    shuffle.s_recv[d] = {};
     p.matches += stats.matches;
     p.checksum += stats.checksum;
     if (options_.materialize_pairs) {

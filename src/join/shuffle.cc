@@ -1,6 +1,7 @@
 #include "join/shuffle.h"
 
 #include <algorithm>
+#include <span>
 
 #include "common/bitutil.h"
 #include "common/logging.h"
@@ -11,17 +12,102 @@ namespace mgjoin::join {
 
 namespace {
 
-using Buckets = std::vector<std::vector<data::Tuple>>;
+// One relation after the scatter. home[p] is where partition p's
+// blocks are written: its owner, or its first owner when this relation
+// is the broadcast (smaller) side of a split partition, or -1 when it
+// is the larger side, which never moves (its holders are the owner set
+// by construction). count and start are g x parts, row-major by
+// source: the size of block (src, p) and its offset in its home's
+// buffer (the source's own buffer when home is -1).
+struct Scattered {
+  std::vector<PartitionedTuples> recv;
+  std::vector<int> home;
+  std::vector<std::size_t> count;
+  std::vector<std::size_t> start;
+};
 
-// Buckets one shard by radix partition.
-Buckets BucketShard(const data::Shard& shard, int domain_bits,
-                    int radix_bits) {
-  Buckets buckets(1u << radix_bits);
-  for (const data::Tuple& t : shard) {
-    buckets[data::RadixPartition(t.key, domain_bits, radix_bits)]
-        .push_back(t);
+// The functional partition kernel plus data distribution for one
+// relation: a count pass per shard, exact region offsets per (dst, p)
+// with sources in ascending order inside each region, one stable
+// scatter per shard straight into place, then the broadcast copies.
+// Every source writes only its own blocks, so the result is identical
+// at any thread count.
+Scattered Scatter(const data::DistRelation& rel, bool is_r, int radix_bits,
+                  const PartitionAssignment& assignment) {
+  const int g = rel.num_shards();
+  const std::uint32_t parts = 1u << radix_bits;
+  auto part_of = [&](const data::Tuple& t) {
+    return data::RadixPartition(t.key, rel.domain_bits, radix_bits);
+  };
+  Scattered out;
+  out.home.resize(parts);
+  for (std::uint32_t p = 0; p < parts; ++p) {
+    const std::vector<int>& owners = assignment.owners[p];
+    const bool stays =
+        owners.size() > 1 && assignment.split_broadcast_r[p] != is_r;
+    out.home[p] = stays ? -1 : owners[0];
   }
-  return buckets;
+  out.count.assign(static_cast<std::size_t>(g) * parts, 0);
+  out.start.resize(static_cast<std::size_t>(g) * parts);
+  ParallelFor(0, g, [&](std::size_t src) {
+    std::size_t* count = &out.count[src * parts];
+    for (const data::Tuple& t : rel.shards[src]) ++count[part_of(t)];
+  });
+
+  // One pass in partition order: each destination's region offsets,
+  // and each block's start, with sources in ascending order inside
+  // every region of their home.
+  out.recv.resize(g);
+  for (PartitionedTuples& recv : out.recv) recv.offsets.resize(parts + 1);
+  std::vector<std::size_t> fill(g, 0);
+  for (std::uint32_t p = 0; p < parts; ++p) {
+    for (int dst = 0; dst < g; ++dst) out.recv[dst].offsets[p] = fill[dst];
+    const int home = out.home[p];
+    for (int src = 0; src < g; ++src) {
+      const std::size_t b = static_cast<std::size_t>(src) * parts + p;
+      std::size_t& f = fill[home < 0 ? src : home];
+      out.start[b] = f;
+      f += out.count[b];
+    }
+    if (home < 0) continue;
+    // Further owners of a broadcast partition mirror the first's region.
+    const std::vector<int>& owners = assignment.owners[p];
+    const std::size_t total = fill[home] - out.recv[home].offsets[p];
+    for (std::size_t o = 1; o < owners.size(); ++o) fill[owners[o]] += total;
+  }
+  // Sized in parallel: first touching a large buffer is page faults.
+  ParallelFor(0, g, [&](std::size_t dst) {
+    out.recv[dst].offsets[parts] = fill[dst];
+    out.recv[dst].tuples.resize(fill[dst]);
+  });
+
+  ParallelFor(0, g, [&](std::size_t src) {
+    std::vector<data::Tuple*> cursor(parts);
+    for (std::uint32_t p = 0; p < parts; ++p) {
+      const int home = out.home[p] < 0 ? static_cast<int>(src) : out.home[p];
+      cursor[p] = out.recv[home].tuples.data() + out.start[src * parts + p];
+    }
+    for (const data::Tuple& t : rel.shards[src]) *cursor[part_of(t)]++ = t;
+  });
+
+  // Broadcast partitions: every further owner gets a copy of the first
+  // owner's region; all owners share one layout.
+  constexpr std::size_t kPartGrain = 64;
+  ParallelForChunked(0, parts, kPartGrain, [&](std::size_t lo,
+                                               std::size_t hi) {
+    for (std::size_t p = lo; p < hi; ++p) {
+      const std::vector<int>& owners = assignment.owners[p];
+      if (owners.size() < 2 || out.home[p] < 0) continue;
+      const std::span<const data::Tuple> block = out.recv[owners[0]][p];
+      for (std::size_t o = 1; o < owners.size(); ++o) {
+        PartitionedTuples& recv = out.recv[owners[o]];
+        std::copy(block.begin(), block.end(),
+                  recv.tuples.begin() +
+                      static_cast<std::ptrdiff_t>(recv.offsets[p]));
+      }
+    }
+  });
+  return out;
 }
 
 }  // namespace
@@ -35,25 +121,15 @@ ShuffleResult ShufflePartitions(const data::DistRelation& r,
   const int g = static_cast<int>(gpus.size());
   const std::uint32_t parts = 1u << radix_bits;
   MGJ_CHECK(r.num_shards() == g && s.num_shards() == g);
+  MGJ_CHECK(r.domain_bits == s.domain_bits);
   MGJ_CHECK(assignment.owners.size() == parts);
 
-  ShuffleResult out;
-  out.r_recv.assign(g, std::vector<std::vector<data::Tuple>>(parts));
-  out.s_recv.assign(g, std::vector<std::vector<data::Tuple>>(parts));
+  Scattered rel[2] = {Scatter(r, true, radix_bits, assignment),
+                      Scatter(s, false, radix_bits, assignment)};
 
-  // Step 1 (functional partition kernel): bucket each shard, in parallel.
-  std::vector<Buckets> r_buckets(g), s_buckets(g);
-  ParallelFor(0, g, [&](std::size_t src) {
-    r_buckets[src] = BucketShard(r.shards[src], r.domain_bits, radix_bits);
-    s_buckets[src] = BucketShard(s.shards[src], s.domain_bits, radix_bits);
-  });
-
-  // Step 3 (data distribution): place buckets at their owners and account
-  // wire bytes per (src, dst). Morsel = a fixed chunk of partitions:
-  // every write under partition p (recv[*][p], per-chunk accumulators)
-  // is private to p's chunk, srcs are visited in ascending order within
-  // each p, and the per-chunk byte counters are integer sums — so both
-  // the received buckets and the totals are identical at any thread
+  // Wire bytes per (src, dst), from each (src, p) block read in place.
+  // Morsel = a fixed chunk of partitions with its own accumulators;
+  // the totals are integer sums, so they are identical at any thread
   // count.
   struct ChunkAcc {
     std::vector<std::uint64_t> flow;  // g x g wire bytes, row-major
@@ -63,66 +139,49 @@ ShuffleResult ShufflePartitions(const data::DistRelation& r,
   };
   constexpr std::size_t kPartGrain = 64;
   std::vector<ChunkAcc> chunk_acc((parts + kPartGrain - 1) / kPartGrain);
+  // Estimate at the *virtual* key/id width: simulating inputs
+  // virtual_scale larger widens the domain by log2(scale) bits.
+  const int extra_bits = Log2Ceil(static_cast<std::uint64_t>(
+      options.virtual_scale < 1.0 ? 1.0 : options.virtual_scale));
 
-  auto place = [&](ChunkAcc* acc, bool is_r, int src, std::uint32_t p,
-                   std::vector<data::Tuple>&& bucket) {
-    if (bucket.empty()) return;
-    const auto& owners = assignment.owners[p];
-    const bool split = owners.size() > 1;
-    const bool broadcast_this =
-        split && (assignment.split_broadcast_r[p] == is_r);
-    auto& recv = is_r ? out.r_recv : out.s_recv;
-
-    std::vector<int> dests;
-    if (!split) {
-      dests.push_back(owners[0]);
-    } else if (broadcast_this) {
-      dests = owners;  // selective broadcast of the smaller side
-    } else {
-      // The larger side of a split partition never moves: its holders
-      // are the owner set by construction.
-      dests.push_back(src);
-    }
-
-    const std::uint64_t raw = bucket.size() * data::kTupleBytes;
-    std::uint64_t wire = raw;
-    if (options.use_compression) {
-      // Estimate at the *virtual* key/id width: simulating inputs
-      // virtual_scale larger widens the domain by log2(scale) bits.
-      const int extra_bits = Log2Ceil(static_cast<std::uint64_t>(
-          options.virtual_scale < 1.0 ? 1.0 : options.virtual_scale));
-      wire = data::EstimateCompressedBytes(bucket.data(), bucket.size(),
-                                           r.domain_bits, radix_bits,
-                                           extra_bits);
-      wire = std::min(wire, raw);
-    }
-    for (int dst : dests) {
-      if (dst != src) {
-        acc->flow[static_cast<std::size_t>(src) * g + dst] += wire;
-        acc->compressed += wire;
-        acc->uncompressed += raw;
-        acc->moved += bucket.size();
+  ParallelForChunked(0, parts, kPartGrain, [&](std::size_t lo,
+                                               std::size_t hi) {
+    ChunkAcc& acc = chunk_acc[lo / kPartGrain];
+    acc.flow.assign(static_cast<std::size_t>(g) * g, 0);
+    for (const Scattered& sc : rel) {
+      for (int src = 0; src < g; ++src) {
+        for (std::size_t p = lo; p < hi; ++p) {
+          const int home = sc.home[p];
+          const std::size_t b = static_cast<std::size_t>(src) * parts + p;
+          const std::size_t n = sc.count[b];
+          // The larger side of a split partition stays put, and a block
+          // at its single owner is local.
+          if (n == 0 || home < 0) continue;
+          const std::vector<int>& owners = assignment.owners[p];
+          if (owners.size() == 1 && home == src) continue;
+          const std::uint64_t raw = n * data::kTupleBytes;
+          std::uint64_t wire = raw;
+          if (options.use_compression) {
+            wire = std::min(raw, data::EstimateCompressedBytes(
+                                     sc.recv[home].tuples.data() + sc.start[b],
+                                     n, r.domain_bits, radix_bits,
+                                     extra_bits));
+          }
+          for (int dst : owners) {
+            if (dst == src) continue;
+            acc.flow[static_cast<std::size_t>(src) * g + dst] += wire;
+            acc.compressed += wire;
+            acc.uncompressed += raw;
+            acc.moved += n;
+          }
+        }
       }
-      auto& target = recv[dst][p];
-      target.insert(target.end(), bucket.begin(), bucket.end());
     }
-  };
+  });
 
-  ParallelForChunked(0, parts, kPartGrain,
-                     [&](std::size_t lo, std::size_t hi) {
-                       ChunkAcc& acc = chunk_acc[lo / kPartGrain];
-                       acc.flow.assign(static_cast<std::size_t>(g) * g, 0);
-                       for (std::size_t p = lo; p < hi; ++p) {
-                         for (int src = 0; src < g; ++src) {
-                           const auto pp = static_cast<std::uint32_t>(p);
-                           place(&acc, true, src, pp,
-                                 std::move(r_buckets[src][p]));
-                           place(&acc, false, src, pp,
-                                 std::move(s_buckets[src][p]));
-                         }
-                       }
-                     });
-
+  ShuffleResult out;
+  out.r_recv = std::move(rel[0].recv);
+  out.s_recv = std::move(rel[1].recv);
   std::vector<std::vector<std::uint64_t>> flow_bytes(
       g, std::vector<std::uint64_t>(g, 0));
   for (const ChunkAcc& acc : chunk_acc) {

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "data/relation.h"
+#include "join/join_types.h"
 #include "join/partition_assignment.h"
 #include "net/packet.h"
 
@@ -19,8 +20,11 @@ namespace mgjoin::join {
 /// the experiment simulates paper-sized inputs).
 struct ShuffleResult {
   /// recv[dense_gpu][partition] -> tuples of that relation now resident.
-  std::vector<std::vector<std::vector<data::Tuple>>> r_recv;
-  std::vector<std::vector<std::vector<data::Tuple>>> s_recv;
+  /// Within a partition, tuples are grouped by source GPU in ascending
+  /// order, each source's tuples in shard order; every owner of a
+  /// broadcast partition holds the same tuples in the same order.
+  std::vector<PartitionedTuples> r_recv;
+  std::vector<PartitionedTuples> s_recv;
   /// One flow per (src, dst) pair with traffic; bytes are wire bytes
   /// after compression, multiplied by the virtual scale.
   std::vector<net::Flow> flows;
@@ -39,6 +43,9 @@ struct ShuffleOptions {
 
 /// Executes the distribution functionally and builds the flow set.
 /// Histograms supply the radix width; the assignment supplies owners.
+/// Each relation is counted per shard, then scattered once, in
+/// parallel by source, straight into one flat buffer per destination;
+/// broadcast copies are then made from the first owner's block.
 ShuffleResult ShufflePartitions(const data::DistRelation& r,
                                 const data::DistRelation& s,
                                 int radix_bits,

@@ -10,6 +10,7 @@
 #include <set>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "common/bitutil.h"
 #include "common/hash.h"
@@ -306,6 +307,52 @@ TEST(ThreadPoolTest, ParallelForPropagatesExceptions) {
                     if (i == 13) throw std::runtime_error("boom");
                   }),
       std::runtime_error);
+}
+
+TEST(ThreadPoolTest, ParallelForRunsEveryIndexExactlyOnce) {
+  // Dynamic claim: tasks race on one counter, so any lost or repeated
+  // claim shows up as a count other than one.
+  constexpr std::size_t kN = 100003;
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    ThreadPool::SetDefaultThreads(threads);
+    std::vector<std::atomic<int>> hits(kN);
+    ParallelFor(0, kN, [&hits](std::size_t i) { hits[i].fetch_add(1); });
+    for (std::size_t i = 0; i < kN; ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << "index " << i << " threads " << threads;
+    }
+    // Nested: every inner range runs inline, each index once.
+    constexpr std::size_t kOuter = 37, kInner = kN / kOuter;
+    std::vector<std::atomic<int>> nested(kOuter * kInner);
+    ParallelFor(0, kOuter, [&nested](std::size_t o) {
+      ParallelFor(o * kInner, (o + 1) * kInner,
+                  [&nested](std::size_t i) { nested[i].fetch_add(1); });
+    });
+    for (std::size_t i = 0; i < nested.size(); ++i) {
+      ASSERT_EQ(nested[i].load(), 1) << "nested index " << i;
+    }
+  }
+  ThreadPool::SetDefaultThreads(0);
+}
+
+TEST(ThreadPoolTest, ParallelForThrowsAtSeveralIndicesAndPoolRecovers) {
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    ThreadPool::SetDefaultThreads(threads);
+    EXPECT_THROW(ParallelFor(0, 1000,
+                             [](std::size_t i) {
+                               if (i % 97 == 3) {
+                                 throw std::runtime_error("boom");
+                               }
+                             }),
+                 std::runtime_error)
+        << threads;
+    // The pool is reusable: a clean run afterwards covers its range.
+    std::vector<std::atomic<int>> hits(1000);
+    ParallelFor(0, 1000, [&hits](std::size_t i) { hits[i].fetch_add(1); });
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << "index " << i << " threads " << threads;
+    }
+  }
+  ThreadPool::SetDefaultThreads(0);
 }
 
 TEST(ThreadPoolTest, StressManyWaves) {

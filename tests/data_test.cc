@@ -198,17 +198,31 @@ TEST(CompressionTest, AchievesPaperRatio) {
 
 TEST(CompressionTest, EstimateMatchesActualPayload) {
   Rng rng(11);
-  std::vector<Tuple> tuples(3000);
-  for (auto& t : tuples) {
+  std::vector<Tuple> random(3000);
+  for (auto& t : random) {
     t.key = static_cast<std::uint32_t>(rng.Uniform(1u << 8));
     t.id = static_cast<std::uint32_t>(rng.Uniform(1u << 30));
   }
-  const std::uint64_t est =
-      EstimateCompressedBytes(tuples.data(), tuples.size(), 20, 12);
-  auto cp = CompressPartition(tuples.data(), tuples.size(), 0, 20, 12);
-  ASSERT_TRUE(cp.ok());
-  EXPECT_NEAR(static_cast<double>(est),
-              static_cast<double>(cp.value().WireBytes()), 32.0);
+  // One block whose ids span the whole uint32 range (32-bit deltas),
+  // and one block of identical ids (zero-width deltas).
+  std::vector<Tuple> full_range(kIdsPerBlock);
+  std::vector<Tuple> identical(kIdsPerBlock);
+  for (std::size_t i = 0; i < full_range.size(); ++i) {
+    full_range[i].key = identical[i].key =
+        static_cast<std::uint32_t>(rng.Uniform(1u << 8));
+    full_range[i].id = static_cast<std::uint32_t>(rng.Uniform(1ull << 32));
+    identical[i].id = 123456789u;
+  }
+  full_range[7].id = 0;
+  full_range[1500].id = 0xFFFFFFFFu;
+  for (const auto* tuples : {&random, &full_range, &identical}) {
+    const std::uint64_t est =
+        EstimateCompressedBytes(tuples->data(), tuples->size(), 20, 12);
+    auto cp = CompressPartition(tuples->data(), tuples->size(), 0, 20, 12);
+    ASSERT_TRUE(cp.ok());
+    EXPECT_NEAR(static_cast<double>(est),
+                static_cast<double>(cp.value().WireBytes()), 32.0);
+  }
 }
 
 TEST(CompressionTest, EmptyPartition) {

@@ -300,7 +300,8 @@ TEST(DeterminismTest, LocalJoinPairOrderMatchesSerial) {
       sp[data::RadixPartition(t.key, s.domain_bits, radix_bits)]
           .push_back(t);
     }
-    return std::make_pair(rp, sp);
+    return std::make_pair(join::PartitionedTuples(rp),
+                          join::PartitionedTuples(sp));
   };
 
   join::LocalJoinOptions opts;

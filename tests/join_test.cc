@@ -5,9 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <string>
 
+#include "common/bitutil.h"
+#include "common/thread_pool.h"
 #include "common/units.h"
+#include "data/compression.h"
 #include "data/generator.h"
 #include "gpusim/kernel_model.h"
 #include "join/histogram.h"
@@ -218,6 +223,174 @@ TEST(ShuffleTest, VirtualScaleMultipliesFlowBytes) {
   }
 }
 
+// The shuffle as first written, kept only as the oracle: each source
+// buckets its shard with push_back, then partitions are appended to
+// their destinations source by source.
+struct ReferenceShuffle {
+  std::vector<std::vector<std::vector<data::Tuple>>> r_recv, s_recv;
+  std::vector<net::Flow> flows;
+  std::uint64_t compressed_bytes = 0;
+  std::uint64_t uncompressed_bytes = 0;
+  std::uint64_t moved_tuples = 0;
+};
+
+ReferenceShuffle StableBucketShuffle(const data::DistRelation& r,
+                                     const data::DistRelation& s,
+                                     int radix_bits,
+                                     const PartitionAssignment& pa,
+                                     const std::vector<int>& gpus,
+                                     const ShuffleOptions& opts) {
+  const int g = static_cast<int>(gpus.size());
+  const std::uint32_t parts = 1u << radix_bits;
+  const int extra_bits = Log2Ceil(static_cast<std::uint64_t>(
+      opts.virtual_scale < 1.0 ? 1.0 : opts.virtual_scale));
+  ReferenceShuffle out;
+  out.r_recv.assign(g, std::vector<std::vector<data::Tuple>>(parts));
+  out.s_recv.assign(g, std::vector<std::vector<data::Tuple>>(parts));
+  std::vector<std::vector<std::uint64_t>> flow_bytes(
+      g, std::vector<std::uint64_t>(g, 0));
+  for (const bool is_r : {true, false}) {
+    const data::DistRelation& rel = is_r ? r : s;
+    auto& recv = is_r ? out.r_recv : out.s_recv;
+    for (int src = 0; src < g; ++src) {
+      std::vector<std::vector<data::Tuple>> buckets(parts);
+      for (const data::Tuple& t : rel.shards[src]) {
+        buckets[data::RadixPartition(t.key, rel.domain_bits, radix_bits)]
+            .push_back(t);
+      }
+      for (std::uint32_t p = 0; p < parts; ++p) {
+        const auto& bucket = buckets[p];
+        if (bucket.empty()) continue;
+        const auto& owners = pa.owners[p];
+        std::vector<int> dests{owners[0]};
+        if (owners.size() > 1) {
+          dests = pa.split_broadcast_r[p] == is_r ? owners
+                                                   : std::vector<int>{src};
+        }
+        const std::uint64_t raw = bucket.size() * data::kTupleBytes;
+        std::uint64_t wire = raw;
+        if (opts.use_compression) {
+          wire = std::min(raw, data::EstimateCompressedBytes(
+                                   bucket.data(), bucket.size(),
+                                   rel.domain_bits, radix_bits, extra_bits));
+        }
+        for (int dst : dests) {
+          if (dst != src) {
+            flow_bytes[src][dst] += wire;
+            out.compressed_bytes += wire;
+            out.uncompressed_bytes += raw;
+            out.moved_tuples += bucket.size();
+          }
+          auto& target = recv[dst][p];
+          target.insert(target.end(), bucket.begin(), bucket.end());
+        }
+      }
+    }
+  }
+  for (int src = 0; src < g; ++src) {
+    for (int dst = 0; dst < g; ++dst) {
+      if (flow_bytes[src][dst] == 0) continue;
+      net::Flow f;
+      f.id = out.flows.size();
+      f.src_gpu = gpus[src];
+      f.dst_gpu = gpus[dst];
+      f.bytes = static_cast<std::uint64_t>(
+          static_cast<double>(flow_bytes[src][dst]) * opts.virtual_scale);
+      out.flows.push_back(f);
+    }
+  }
+  return out;
+}
+
+TEST(ShuffleTest, ShuffleMatchesStableBucketReference) {
+  auto topo = topo::MakeDgx1V();
+  const std::vector<int> gpus = topo::FirstNGpus(8);
+  GenOptions gen;
+  gen.tuples_per_relation = 1 << 16;
+  gen.num_gpus = 8;
+  gen.key_zipf = 1.0;
+  gen.placement_zipf = 0.5;
+  auto [r, s] = MakeJoinInput(gen);
+  const int radix_bits = 10;
+  const HistogramSet hr = BuildHistograms(r, radix_bits);
+  const HistogramSet hs = BuildHistograms(s, radix_bits);
+  AssignmentOptions network, round_robin;
+  round_robin.strategy = AssignmentStrategy::kRoundRobin;
+  for (const AssignmentOptions& ao : {network, round_robin}) {
+    const auto pa = ComputeAssignment(*topo, gpus, hr, hs, ao);
+    if (ao.strategy == AssignmentStrategy::kNetworkOptimal) {
+      ASSERT_GT(pa.split_partitions, 0u) << "no broadcast path exercised";
+    }
+    for (const bool compress : {true, false}) {
+      for (const double scale : {1.0, 256.0}) {
+        ShuffleOptions so;
+        so.use_compression = compress;
+        so.virtual_scale = scale;
+        const ReferenceShuffle want =
+            StableBucketShuffle(r, s, radix_bits, pa, gpus, so);
+        for (const std::size_t threads : {1u, 2u, 8u}) {
+          ThreadPool::SetDefaultThreads(threads);
+          const ShuffleResult got =
+              ShufflePartitions(r, s, radix_bits, pa, gpus, so);
+          const std::string where =
+              "strategy " + std::to_string(static_cast<int>(ao.strategy)) +
+              " compress " + std::to_string(compress) + " scale " +
+              std::to_string(scale) + " threads " + std::to_string(threads);
+          ASSERT_EQ(got.r_recv.size(), 8u) << where;
+          ASSERT_EQ(got.s_recv.size(), 8u) << where;
+          for (int d = 0; d < 8; ++d) {
+            ASSERT_EQ(got.r_recv[d].size(), 1u << radix_bits) << where;
+            ASSERT_EQ(got.s_recv[d].size(), 1u << radix_bits) << where;
+            for (std::uint32_t p = 0; p < (1u << radix_bits); ++p) {
+              const auto rs = got.r_recv[d][p], ss = got.s_recv[d][p];
+              ASSERT_TRUE(std::equal(rs.begin(), rs.end(),
+                                     want.r_recv[d][p].begin(),
+                                     want.r_recv[d][p].end()))
+                  << where << " R at gpu " << d << " partition " << p;
+              ASSERT_TRUE(std::equal(ss.begin(), ss.end(),
+                                     want.s_recv[d][p].begin(),
+                                     want.s_recv[d][p].end()))
+                  << where << " S at gpu " << d << " partition " << p;
+            }
+          }
+          ASSERT_EQ(got.flows.size(), want.flows.size()) << where;
+          for (std::size_t i = 0; i < got.flows.size(); ++i) {
+            EXPECT_EQ(got.flows[i].id, want.flows[i].id) << where;
+            EXPECT_EQ(got.flows[i].src_gpu, want.flows[i].src_gpu) << where;
+            EXPECT_EQ(got.flows[i].dst_gpu, want.flows[i].dst_gpu) << where;
+            EXPECT_EQ(got.flows[i].bytes, want.flows[i].bytes) << where;
+          }
+          EXPECT_EQ(got.compressed_bytes, want.compressed_bytes) << where;
+          EXPECT_EQ(got.uncompressed_bytes, want.uncompressed_bytes)
+              << where;
+          EXPECT_EQ(got.moved_tuples, want.moved_tuples) << where;
+        }
+      }
+    }
+  }
+  ThreadPool::SetDefaultThreads(0);
+}
+
+TEST(ShuffleDeathTest, RejectsMismatchedKeyDomains) {
+  // Wire bytes of both relations are estimated at R's key width, which
+  // is only right when the domains match. Threadsafe style: a forked
+  // child has no pool workers, so a ParallelFor in it could hang.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto topo = topo::MakeDgx1V();
+  GenOptions opts;
+  opts.tuples_per_relation = 4096;
+  opts.num_gpus = 2;
+  auto [r, s] = MakeJoinInput(opts);
+  const auto pa = ComputeAssignment(*topo, topo::FirstNGpus(2),
+                                    BuildHistograms(r, 6),
+                                    BuildHistograms(s, 6),
+                                    AssignmentOptions{});
+  s.domain_bits = r.domain_bits + 1;
+  EXPECT_DEATH(ShufflePartitions(r, s, 6, pa, topo::FirstNGpus(2),
+                                 ShuffleOptions{}),
+               "domain_bits");
+}
+
 TEST(LocalJoinTest, MatchesReferenceOnSkewedData) {
   GenOptions opts;
   opts.tuples_per_relation = 50000;
@@ -226,8 +399,8 @@ TEST(LocalJoinTest, MatchesReferenceOnSkewedData) {
   auto [r, s] = MakeJoinInput(opts);
   const LocalJoinStats ref = ReferenceJoin(r, s);
 
-  std::vector<std::vector<data::Tuple>> rp{r.shards[0]};
-  std::vector<std::vector<data::Tuple>> sp{s.shards[0]};
+  const PartitionedTuples rp({r.shards[0]});
+  const PartitionedTuples sp({s.shards[0]});
   LocalJoinOptions lo;
   lo.shared_mem_tuples = 512;
   const LocalJoinStats out = LocalPartitionAndProbe(&rp, &sp, lo);
@@ -245,17 +418,17 @@ TEST(LocalJoinTest, NestedLoopProbeMatchesHashProbe) {
   LocalJoinOptions hash, nl;
   hash.shared_mem_tuples = nl.shared_mem_tuples = 256;
   nl.probe = ProbeAlgorithm::kNestedLoop;
-  std::vector<std::vector<data::Tuple>> rp1{r.shards[0]}, sp1{s.shards[0]};
-  std::vector<std::vector<data::Tuple>> rp2{r.shards[0]}, sp2{s.shards[0]};
-  const LocalJoinStats a = LocalPartitionAndProbe(&rp1, &sp1, hash);
-  const LocalJoinStats b = LocalPartitionAndProbe(&rp2, &sp2, nl);
+  const PartitionedTuples rp({r.shards[0]}), sp({s.shards[0]});
+  const LocalJoinStats a = LocalPartitionAndProbe(&rp, &sp, hash);
+  const LocalJoinStats b = LocalPartitionAndProbe(&rp, &sp, nl);
   EXPECT_EQ(a.matches, b.matches);
   EXPECT_EQ(a.checksum, b.checksum);
 }
 
 TEST(LocalJoinTest, EmptySidesProduceNothing) {
-  std::vector<std::vector<data::Tuple>> rp(4), sp(4);
-  rp[1] = {{1, 1}, {2, 2}};
+  std::vector<std::vector<data::Tuple>> r_parts(4), s_parts(4);
+  r_parts[1] = {{1, 1}, {2, 2}};
+  const PartitionedTuples rp(r_parts), sp(s_parts);
   const LocalJoinStats out = LocalPartitionAndProbe(&rp, &sp, {});
   EXPECT_EQ(out.matches, 0u);
 }
