@@ -358,9 +358,6 @@ void EnsureSimCoreReport() {
     r.Meta("net.events_per_s", "events/s wall", true);
     r.Meta("sim.sampled_events_per_s", "events/s wall", true);
     r.Meta("net.sampled_packets_per_s", "packets/s wall", true);
-    r.Meta("sim.parallel_events_per_s", "events/s wall", true);
-    r.Meta("net.parallel_events_per_s", "events/s wall", true);
-    r.Meta("net.parallel_packets_per_s", "packets/s wall", true);
     r.Meta("net.route_decisions_per_s", "decisions/s wall", true);
     return true;
   }();
@@ -473,170 +470,6 @@ void BM_SimulatorCoreHeapRef(benchmark::State& state) {
   state.SetLabel(SimCorePatternName(pattern));
 }
 BENCHMARK(BM_SimulatorCoreHeapRef)->Arg(0)->Arg(1)->Arg(2);
-
-// ---------------------------------------------------------------------------
-// Conservative parallel event core (QueueKind::kParallel, DESIGN.md
-// Sec 16). Engine-driven runs keep all events in the shared partition
-// by design — that is how the byte-identical contract is held — so
-// the scaling series measures a *partitioned model workload*: event
-// chains confined to their partitions with per-event payload work,
-// exchanging cross-partition "packets" at no less than the NVLink
-// latency floor the real topology would impose as the lookahead.
-
-constexpr sim::SimTime kModelLookahead = 1900 * sim::kNanosecond;
-
-// 40 bytes: fits EventFn's inline buffer, so partition-local hops stay
-// allocation-free. Writes go to per-partition slots (sums/packets are
-// indexed by the executing partition) — partition-confined, no locks.
-struct ModelChain {
-  sim::Simulator* s;
-  std::uint64_t* sums;     // per-partition checksum accumulators
-  std::uint64_t* packets;  // per-partition cross-partition send counts
-  std::int32_t p;
-  std::int32_t parts;
-  std::int32_t work;
-  std::uint32_t remaining;
-  void operator()() const {
-    std::uint64_t h =
-        MixU64(static_cast<std::uint64_t>(remaining) * 0x9e3779b97f4a7c15ull ^
-               static_cast<std::uint64_t>(p) * 0xff51afd7ed558ccdull);
-    for (std::int32_t i = 0; i < work; ++i) h = MixU64(h);
-    sums[p] += h;
-    if (remaining == 0) return;
-    ModelChain next = *this;
-    --next.remaining;
-    if (remaining % 16 == 0) {
-      // Forward to another partition: a "packet" on the model fabric.
-      // The delay is always >= the lookahead, so the conservative
-      // check never trips no matter where the window started.
-      ++packets[p];
-      next.p = static_cast<std::int32_t>(
-          (p + 1 + h % static_cast<std::uint64_t>(parts - 1)) %
-          static_cast<std::uint64_t>(parts));
-      s->ScheduleIn(next.p, kModelLookahead + h % kModelLookahead, next);
-    } else {
-      // Local hop at ~1/16th of the lookahead: every partition keeps a
-      // handful of events inside each window, so windows are
-      // multi-active and drains actually overlap.
-      s->ScheduleIn(p, 1 + h % (kModelLookahead / 16), next);
-    }
-  }
-};
-
-struct ParallelModelParams {
-  int parts = 8;
-  int chains_per_part = 8;
-  std::uint32_t steps = 2048;  // events per chain
-  int work = 96;               // MixU64 rounds per event (payload cost)
-};
-
-struct ParallelModelResult {
-  std::uint64_t events = 0;
-  std::uint64_t packets = 0;
-  std::uint64_t checksum = 0;
-};
-
-// `workers` == 0 runs the identical workload on the serial kCalendar
-// core (the reference series); otherwise kParallel with that many
-// event-loop workers. The checksum must not depend on the choice.
-ParallelModelResult RunParallelModel(const ParallelModelParams& pp,
-                                     int workers) {
-  sim::Simulator s(workers > 0 ? sim::QueueKind::kParallel
-                               : sim::QueueKind::kCalendar);
-  if (workers > 0) {
-    s.ConfigurePartitions(pp.parts, kModelLookahead, workers);
-  }
-  std::vector<std::uint64_t> sums(static_cast<std::size_t>(pp.parts), 0);
-  std::vector<std::uint64_t> packets(static_cast<std::size_t>(pp.parts), 0);
-  for (int p = 0; p < pp.parts; ++p) {
-    for (int c = 0; c < pp.chains_per_part; ++c) {
-      // Distinct per-chain step counts keep sibling chains out of
-      // lock-step; staggered starts spread the first window.
-      const std::uint32_t steps = pp.steps + static_cast<std::uint32_t>(c);
-      s.ScheduleAtIn(
-          p, 1 + MixU64(static_cast<std::uint64_t>(p) * 131 + c) %
-                     kModelLookahead,
-          ModelChain{&s, sums.data(), packets.data(), p, pp.parts, pp.work,
-                     steps});
-    }
-  }
-  s.Run();
-  ParallelModelResult res;
-  res.events = s.events_processed();
-  for (int p = 0; p < pp.parts; ++p) {
-    res.packets += packets[static_cast<std::size_t>(p)];
-    res.checksum = MixU64(res.checksum ^ sums[static_cast<std::size_t>(p)]);
-  }
-  return res;
-}
-
-const char* ParallelPointName(int workers) {
-  switch (workers) {
-    case 0:
-      return "serial";
-    case 1:
-      return "w1";
-    case 2:
-      return "w2";
-    case 4:
-      return "w4";
-    default:
-      return "w8";
-  }
-}
-
-// Measures one worker-count point best-of-3 and records it under
-// `series`; returns {best events/s, best packets/s}. The checksum is
-// verified against the serial reference — the bench aborts rather than
-// publish a rate for a run that broke determinism.
-std::pair<double, double> MeasureParallelPoint(const ParallelModelParams& pp,
-                                               int workers,
-                                               std::uint64_t want_checksum) {
-  double best_events = 0.0;
-  double best_packets = 0.0;
-  for (int rep = 0; rep < 3; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const ParallelModelResult res = RunParallelModel(pp, workers);
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    MGJ_CHECK(res.checksum == want_checksum)
-        << "parallel model checksum diverged at workers=" << workers;
-    best_events =
-        std::max(best_events, static_cast<double>(res.events) / secs);
-    best_packets =
-        std::max(best_packets, static_cast<double>(res.packets) / secs);
-  }
-  return {best_events, best_packets};
-}
-
-void RecordParallelCorePoints() {
-  static bool recorded = false;
-  if (recorded) return;
-  recorded = true;
-  EnsureSimCoreReport();
-  const ParallelModelParams pp;  // 8 partitions x 8 chains
-  const std::uint64_t want = RunParallelModel(pp, 0).checksum;  // + warmup
-  for (const int workers : {0, 1, 2, 4, 8}) {
-    const auto [events_per_s, _] = MeasureParallelPoint(pp, workers, want);
-    bench::BenchReport::Instance().Point("sim.parallel_events_per_s",
-                                         ParallelPointName(workers),
-                                         events_per_s);
-  }
-}
-
-void BM_SimulatorCoreParallel(benchmark::State& state) {
-  const int workers = static_cast<int>(state.range(0));
-  RecordParallelCorePoints();
-  const ParallelModelParams pp;
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    events += RunParallelModel(pp, workers).events;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(events));
-  state.SetLabel(ParallelPointName(workers));
-}
-BENCHMARK(BM_SimulatorCoreParallel)->Arg(0)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 // 8-GPU all-to-all shuffle with small packets: the transfer engine's
 // packet lifecycle (batch formation, ring claims, arrivals, forwards)
@@ -817,57 +650,6 @@ void BM_AdaptiveRoutingDecisionLoaded(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_AdaptiveRoutingDecisionLoaded);
-
-// Parallel-core counterpart of the 8-GPU shuffle: one partition per
-// GPU endpoint, one chain per peer (7 x 8), per-event payload work in
-// the range of a packet's bookkeeping, cross-partition packets at
-// NVLink-floor latency. Series points cover the serial kCalendar
-// reference plus 1/2/4/8 event-loop workers — the ROADMAP item 2
-// scaling claim (>= 1.5x events/s at 4 workers) reads off this series.
-ParallelModelParams ShuffleModelParams() {
-  ParallelModelParams pp;
-  pp.parts = 8;
-  pp.chains_per_part = 7;  // one chain per shuffle peer
-  pp.steps = 1536;
-  pp.work = 128;
-  return pp;
-}
-
-void RecordParallelShufflePoints() {
-  static bool recorded = false;
-  if (recorded) return;
-  recorded = true;
-  EnsureSimCoreReport();
-  const ParallelModelParams pp = ShuffleModelParams();
-  const std::uint64_t want = RunParallelModel(pp, 0).checksum;  // + warmup
-  for (const int workers : {0, 1, 2, 4, 8}) {
-    const auto [events_per_s, packets_per_s] =
-        MeasureParallelPoint(pp, workers, want);
-    bench::BenchReport& r = bench::BenchReport::Instance();
-    r.Point("net.parallel_events_per_s", ParallelPointName(workers),
-            events_per_s);
-    r.Point("net.parallel_packets_per_s", ParallelPointName(workers),
-            packets_per_s);
-  }
-}
-
-void BM_TransferEngineShuffleParallel(benchmark::State& state) {
-  const int workers = static_cast<int>(state.range(0));
-  RecordParallelShufflePoints();
-  const ParallelModelParams pp = ShuffleModelParams();
-  std::uint64_t packets = 0;
-  for (auto _ : state) {
-    packets += RunParallelModel(pp, workers).packets;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(packets));
-  state.SetLabel(ParallelPointName(workers));
-}
-BENCHMARK(BM_TransferEngineShuffleParallel)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8);
 
 }  // namespace
 }  // namespace mgjoin

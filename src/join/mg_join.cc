@@ -280,14 +280,7 @@ JoinResult MgJoin::Simulate(const PreparedJoin& p) const {
       *std::max_element(p.probe_time.begin(), p.probe_time.end());
 
   // ---- Phase 2c: data distribution on the simulated network.
-  // The parallel event core is opt-in: an explicit sim_threads (or
-  // MGJ_SIM_THREADS) selects kParallel, anything else keeps the serial
-  // calendar queue. Either way the simulated results are byte-identical
-  // (DESIGN.md Sec 16).
-  sim::Simulator net_sim(
-      sim::Simulator::ResolveSimThreads(options_.transfer.sim_threads) > 0
-          ? sim::QueueKind::kParallel
-          : sim::QueueKind::kCalendar);
+  sim::Simulator net_sim;
   auto policy = net::MakePolicy(options_.policy,
                                 options_.transfer.max_intermediates);
   net::TransferEngine engine(&net_sim, topo_, gpus_, policy.get(),

@@ -35,12 +35,6 @@ struct Flow {
   /// unset fields at registration (src/dst from the endpoints, phase
   /// "flow"), so telemetry and metrics always see a complete tag.
   obs::FlowTag tag;
-  /// Logical event partition of the conservative parallel core that
-  /// owns this flow's delivery notifications: 1 + dense destination
-  /// index under QueueKind::kParallel (DESIGN.md Sec 16). Stamped by
-  /// the engine at registration; 0 (the shared engine partition) when
-  /// the simulator is not partitioned.
-  int partition = 0;
 };
 
 /// \brief Fixed-capacity inline route, the POD counterpart of
@@ -117,10 +111,6 @@ struct Packet {
   std::uint32_t flow_idx = 0;  ///< dense index into the engine's flow slabs
   std::uint32_t payload_bytes = 0;
   PacketRoute route;
-  /// Delivery partition of the parallel event core (== the owning
-  /// Flow::partition), filling the alignment hole after `route` so the
-  /// packet stays one cache line.
-  std::uint16_t partition = 0;
   std::int32_t hop = 0;
 
   int final_dst() const { return route.back(); }
@@ -135,8 +125,7 @@ struct Packet {
 static_assert(std::is_trivially_copyable_v<Packet>,
               "Packet must stay POD: queues and closures memcpy it");
 static_assert(sizeof(Packet) == 48,
-              "Packet should stay one cache line (the partition id lives "
-              "in the route/hop alignment hole)");
+              "Packet should stay one cache line");
 
 }  // namespace mgjoin::net
 

@@ -32,22 +32,6 @@ TransferEngine::TransferEngine(sim::Simulator* sim,
   std::vector<bool> mask(topo_->num_gpus(), false);
   for (int g : gpus_) mask[g] = true;
   policy_->SetParticipants(std::move(mask));
-  if (sim_->kind() == sim::QueueKind::kParallel) {
-    // Partition plan (DESIGN.md Sec 16): 0 = the shared engine
-    // partition (queue slabs, link table, stats and trace keep their
-    // serial single-writer discipline there), 1..G = one per
-    // participating GPU (delivery mailboxes), then one per link
-    // direction, mirroring the LinkStateTable SoA layout. The static
-    // lookahead is the fabric's link-latency floor: nothing crosses
-    // partitions faster than the fastest wire.
-    const int num_parts =
-        1 + static_cast<int>(gpus_.size()) + 2 * topo_->num_links();
-    sim_->ConfigurePartitions(num_parts, topo::MinLinkLatency(*topo_),
-                              options_.sim_threads);
-  } else {
-    MGJ_CHECK(!options_.parallel_delivery)
-        << "parallel_delivery requires a QueueKind::kParallel simulator";
-  }
   gpu_states_.resize(gpus_.size());
   for (GpuState& gs : gpu_states_) {
     gs.queues.resize(2 * gpus_.size());
@@ -218,9 +202,6 @@ void TransferEngine::AddFlow(const Flow& flow) {
   if (f.tag.phase.empty()) f.tag.phase = "flow";
   if (f.tag.src < 0) f.tag.src = f.src_gpu;
   if (f.tag.dst < 0) f.tag.dst = f.dst_gpu;
-  f.partition = sim_->kind() == sim::QueueKind::kParallel
-                    ? GpuPartition(f.dst_gpu)
-                    : 0;
   flow_delivered_.push_back(0);
   flow_payload_counters_.push_back(obs::MetricsRegistry::ResolveCounter(
       obs_.metrics,
@@ -320,7 +301,6 @@ void TransferEngine::InjectPackets(std::uint32_t flow_idx,
     p.flow_id = flow.id;
     p.flow_idx = flow_idx;
     p.payload_bytes = payload;
-    p.partition = static_cast<std::uint16_t>(flow.partition);
     p.hop = 0;
     // Route assigned when the batch is formed.
     queue.push_back(QueuedPacket{p, -1});
@@ -589,22 +569,6 @@ void TransferEngine::SendBatch(int gpu, std::vector<QueuedPacket> batch,
       sim_->ScheduleAt(res.deliver, [this, pidx, gpu] {
         HandleArrival(InflightTake(pidx), gpu);
       });
-      if (options_.parallel_delivery && deliver_cb_ &&
-          next == qp.packet.final_dst()) {
-        // Mailbox path: the user notification rides to the destination
-        // GPU's partition. Staged here (at send time) rather than from
-        // HandleArrival because the wire delay is what satisfies the
-        // conservative lookahead — every res.deliver is at least one
-        // link latency away, and arrivals are unconditional once the
-        // packet is on the wire (faults re-path only pre-wire and at
-        // intermediate hops).
-        Packet delivered = qp.packet;
-        ++delivered.hop;  // mirror HandleArrival's completed-hop count
-        const sim::SimTime at = res.deliver;
-        sim_->ScheduleAtIn(delivered.partition, at, [this, delivered, at] {
-          deliver_cb_(delivered, at);
-        });
-      }
     }
     if (obs_.trace != nullptr) {
       obs_.trace->Span(
@@ -656,7 +620,7 @@ void TransferEngine::HandleArrival(Packet packet, int from_gpu) {
       // so force one to capture end-of-run totals for every series.
       obs_.telemetry->SampleNow(sim_->Now());
     }
-    if (deliver_cb_ && !options_.parallel_delivery) {
+    if (deliver_cb_) {
       deliver_cb_(packet, sim_->Now());
     }
     // The routing slot frees once the payload is unpacked into the local

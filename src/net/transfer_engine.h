@@ -65,24 +65,6 @@ struct TransferOptions {
   /// disable those sinks; a null auditor makes the engine run its own
   /// default one (sampled invariant checks + deadlock watchdog stay on).
   obs::ObsHooks obs;
-  /// Worker threads for the conservative parallel event core
-  /// (QueueKind::kParallel; DESIGN.md Sec 16): 0 resolves from
-  /// MGJ_SIM_THREADS. Consulted only when the driving simulator was
-  /// built with kParallel — the engine then configures its partition
-  /// plan (one shared engine partition, one per participating GPU, one
-  /// per link direction) with the topology's link-latency floor as the
-  /// lookahead. Purely a wall-clock knob: simulated results and traces
-  /// are byte-identical at any setting.
-  int sim_threads = 0;
-  /// Stage final-hop delivery notifications into the destination GPU's
-  /// event partition through the parallel core's mailboxes, instead of
-  /// invoking the callback inline from the (shared-partition) arrival
-  /// handler. Requires kParallel. Adds one event per delivered packet
-  /// and makes windows multi-active, so events_processed() grows and
-  /// observers tick at window barriers; delivery times, packet
-  /// contents, engine stats and traces are unchanged and remain
-  /// byte-identical at any worker count.
-  bool parallel_delivery = false;
 };
 
 /// Aggregate outcome of one data-distribution run.
@@ -166,7 +148,11 @@ class TransferEngine {
 
   /// Called whenever a packet reaches its final destination, with the
   /// delivery time. Used by the join layer to overlap local partitioning
-  /// with the distribution (Rationale 2).
+  /// with the distribution (Rationale 2). It runs inline inside
+  /// Simulator::Run()/RunUntil(), on the thread that called it, once per
+  /// delivered packet, in non-decreasing `when` order, with
+  /// `when == sim->Now()`; the callback needs no synchronisation of its
+  /// own.
   using DeliverCallback =
       std::function<void(const Packet& packet, sim::SimTime when)>;
   void set_deliver_callback(DeliverCallback cb) { deliver_cb_ = std::move(cb); }
@@ -174,17 +160,6 @@ class TransferEngine {
   /// Schedules flow availability events. Call once, then run the
   /// simulator to completion.
   void Start();
-
-  /// Event partition owning GPU `gpu`'s delivery notifications under
-  /// QueueKind::kParallel: 1 + dense index (partition 0 is the shared
-  /// engine partition). Valid for participating GPUs.
-  int GpuPartition(int gpu) const { return 1 + dense_[gpu]; }
-
-  /// Event partition reserved for direction `dir` of link `link_id`
-  /// (mirrors LinkStateTable's SoA direction indexing).
-  int LinkPartition(int link_id, int dir) const {
-    return 1 + static_cast<int>(gpus_.size()) + link_id * 2 + dir;
-  }
 
   /// True when every flow's bytes have been delivered.
   bool AllDone() const { return pending_payload_ == 0 && started_; }

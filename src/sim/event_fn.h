@@ -83,12 +83,6 @@ class EventArena {
 /// the whole EventFn is 48 bytes and an Event fills one cache line).
 /// Trivially copyable captures relocate with memcpy, which keeps
 /// calendar-bucket sorting cheap.
-///
-/// A null arena routes oversized captures through plain ::operator
-/// new/delete instead. The parallel engine uses this for events staged
-/// across partition mailboxes: an EventFn built on one worker thread
-/// and destroyed on another must not touch a (thread-confined)
-/// partition arena, while the global allocator is thread-safe.
 class EventFn {
  public:
   static constexpr std::size_t kInlineBytes = 40;
@@ -106,9 +100,7 @@ class EventFn {
       ::new (static_cast<void*>(buf_)) D(std::forward<F>(fn));
       vt_ = &kInlineVt<D>;
     } else {
-      HeapRef ref{arena != nullptr ? arena->Allocate(sizeof(D))
-                                   : ::operator new(sizeof(D)),
-                  arena};
+      HeapRef ref{arena->Allocate(sizeof(D)), arena};
       ::new (ref.block) D(std::forward<F>(fn));
       std::memcpy(buf_, &ref, sizeof(ref));
       vt_ = &kHeapVt<D>;
@@ -176,11 +168,7 @@ class EventFn {
   static void DestroyHeap(void* s) {
     const HeapRef ref = ReadHeapRef(s);
     static_cast<D*>(ref.block)->~D();
-    if (ref.arena != nullptr) {
-      ref.arena->Release(ref.block, sizeof(D));
-    } else {
-      ::operator delete(ref.block);
-    }
+    ref.arena->Release(ref.block, sizeof(D));
   }
 
   template <typename D>

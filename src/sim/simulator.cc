@@ -44,27 +44,14 @@ SimTime Simulator::RunLoop(Q& queue, SimTime until, bool bounded) {
 }
 
 SimTime Simulator::Run() {
-  switch (kind_) {
-    case QueueKind::kCalendar:
-      return RunLoop(calendar_, kSimTimeMax, false);
-    case QueueKind::kHeapReference:
-      return RunLoop(heap_, kSimTimeMax, false);
-    case QueueKind::kParallel:
-      return par_->Run(kSimTimeMax, false);
-  }
-  return now_;
+  return kind_ == QueueKind::kCalendar
+             ? RunLoop(calendar_, kSimTimeMax, false)
+             : RunLoop(heap_, kSimTimeMax, false);
 }
 
 SimTime Simulator::RunUntil(SimTime until) {
-  switch (kind_) {
-    case QueueKind::kCalendar:
-      return RunLoop(calendar_, until, true);
-    case QueueKind::kHeapReference:
-      return RunLoop(heap_, until, true);
-    case QueueKind::kParallel:
-      return par_->Run(until, true);
-  }
-  return now_;
+  return kind_ == QueueKind::kCalendar ? RunLoop(calendar_, until, true)
+                                       : RunLoop(heap_, until, true);
 }
 
 }  // namespace mgjoin::sim

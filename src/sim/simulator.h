@@ -4,14 +4,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <type_traits>
 #include <utility>
 
 #include "common/logging.h"
 #include "sim/event_fn.h"
 #include "sim/event_queue.h"
-#include "sim/parallel_engine.h"
 #include "sim/sim_time.h"
 
 namespace mgjoin::sim {
@@ -20,7 +17,6 @@ namespace mgjoin::sim {
 enum class QueueKind {
   kCalendar,       ///< two-level calendar queue (default, fast path)
   kHeapReference,  ///< original binary heap, kept as a determinism oracle
-  kParallel,       ///< conservative parallel windowed core (Sec 16)
 };
 
 /// \brief Deterministic discrete-event simulator.
@@ -35,45 +31,24 @@ enum class QueueKind {
 /// simulator's EventArena, so steady-state scheduling performs no heap
 /// allocation. Same-timestamp events dispatch as one batch: the clock
 /// advances once, then the sorted run drains with a cursor increment
-/// per event.
-///
-/// QueueKind::kParallel swaps in the conservative parallel core
-/// (parallel_engine.h): per-partition calendar queues drained in bounded
-/// lookahead windows, with cross-partition schedules staged through
-/// mailboxes and merged deterministically at window barriers. Results
-/// stay byte-identical at any MGJ_SIM_THREADS worker count; kCalendar
-/// remains the default and the determinism oracle.
+/// per event. The loop is serial: every handler runs on the thread that
+/// called Run()/RunUntil() (DESIGN.md Sec 13).
 class Simulator {
  public:
-  explicit Simulator(QueueKind kind = QueueKind::kCalendar) : kind_(kind) {
-    if (kind_ == QueueKind::kParallel) {
-      par_ = std::make_unique<ParallelEngine>();
-    }
-  }
+  explicit Simulator(QueueKind kind = QueueKind::kCalendar) : kind_(kind) {}
 
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  QueueKind kind() const { return kind_; }
-
-  /// Current simulated time. Under kParallel, an event handler sees its
-  /// partition's local clock (the timestamp of the executing event).
-  SimTime Now() const {
-    return kind_ == QueueKind::kParallel ? par_->Now() : now_;
-  }
+  /// Current simulated time.
+  SimTime Now() const { return now_; }
 
   /// Schedules `fn` to run `delay` after the current time. A delay that
   /// would overflow the clock (e.g. TransferTime on a zero-rate link
   /// returning kSimTimeMax) saturates to kSimTimeMax instead of
-  /// wrapping. Under kParallel the event stays in the scheduling
-  /// partition (the executing one, or partition 0 from outside the
-  /// event stream).
+  /// wrapping.
   template <typename F>
   void Schedule(SimTime delay, F&& fn) {
-    if (kind_ == QueueKind::kParallel) {
-      ScheduleIn(par_->CurrentPartition(), delay, std::forward<F>(fn));
-      return;
-    }
     const SimTime when =
         delay > kSimTimeMax - now_ ? kSimTimeMax : now_ + delay;
     PushEvent(when, EventFn(&arena_, std::forward<F>(fn)));
@@ -82,70 +57,7 @@ class Simulator {
   /// Schedules `fn` at absolute time `when` (>= Now()).
   template <typename F>
   void ScheduleAt(SimTime when, F&& fn) {
-    if (kind_ == QueueKind::kParallel) {
-      ScheduleAtIn(par_->CurrentPartition(), when, std::forward<F>(fn));
-      return;
-    }
     PushEvent(when, EventFn(&arena_, std::forward<F>(fn)));
-  }
-
-  /// Partition-scoped Schedule. Under the serial queue kinds the
-  /// partition id is ignored (one global FIFO), which lets partitioned
-  /// workloads run unchanged against the kCalendar oracle. Under
-  /// kParallel, a cross-partition delay below the configured lookahead
-  /// is a fatal contract violation (see parallel_engine.h).
-  template <typename F>
-  void ScheduleIn(int partition, SimTime delay, F&& fn) {
-    const SimTime base = Now();
-    const SimTime when =
-        delay > kSimTimeMax - base ? kSimTimeMax : base + delay;
-    ScheduleAtIn(partition, when, std::forward<F>(fn));
-  }
-
-  /// Partition-scoped ScheduleAt (see ScheduleIn).
-  template <typename F>
-  void ScheduleAtIn(int partition, SimTime when, F&& fn) {
-    if (kind_ != QueueKind::kParallel) {
-      PushEvent(when, EventFn(&arena_, std::forward<F>(fn)));
-      return;
-    }
-    using D = std::decay_t<F>;
-    D local(std::forward<F>(fn));
-    par_->ScheduleAt(
-        partition, when,
-        [](void* ctx, EventArena* arena) {
-          return EventFn(arena, std::move(*static_cast<D*>(ctx)));
-        },
-        &local);
-  }
-
-  /// \brief Configures the kParallel core: `num_partitions` logical
-  /// event partitions, a static `lookahead` (the minimum cross-
-  /// partition latency; the transfer engine passes the topology's
-  /// link-latency floor), and the worker count (<= 0 resolves from
-  /// MGJ_SIM_THREADS). Only valid on a kParallel simulator, before any
-  /// event is scheduled.
-  void ConfigurePartitions(int num_partitions, SimTime lookahead,
-                           int threads = 0) {
-    MGJ_CHECK(kind_ == QueueKind::kParallel)
-        << "ConfigurePartitions requires QueueKind::kParallel";
-    par_->Configure(num_partitions, lookahead, threads);
-  }
-
-  int num_partitions() const {
-    return kind_ == QueueKind::kParallel ? par_->num_partitions() : 1;
-  }
-
-  /// Worker threads the kParallel core may use (1 for serial kinds).
-  int sim_threads() const {
-    return kind_ == QueueKind::kParallel ? par_->threads() : 1;
-  }
-
-  /// See ParallelEngine::ResolveSimThreads: `requested` > 0 wins, then
-  /// MGJ_SIM_THREADS; 0 means "parallel core not requested" (callers
-  /// fall back to kCalendar).
-  static int ResolveSimThreads(int requested) {
-    return ParallelEngine::ResolveSimThreads(requested);
   }
 
   /// Runs events until the queue is empty. Returns the final time.
@@ -157,22 +69,11 @@ class Simulator {
   SimTime RunUntil(SimTime until);
 
   /// Number of events processed so far (for tests / sanity checks).
-  std::uint64_t events_processed() const {
-    return kind_ == QueueKind::kParallel ? par_->events_processed()
-                                         : events_processed_;
-  }
+  std::uint64_t events_processed() const { return events_processed_; }
 
-  /// Events currently enqueued (telemetry probe; O(partitions)).
+  /// Events currently enqueued (telemetry probe).
   std::size_t queue_size() const {
-    switch (kind_) {
-      case QueueKind::kCalendar:
-        return calendar_.size();
-      case QueueKind::kHeapReference:
-        return heap_.size();
-      case QueueKind::kParallel:
-        return par_->queue_size();
-    }
-    return 0;
+    return kind_ == QueueKind::kCalendar ? calendar_.size() : heap_.size();
   }
 
   /// \brief Installs a read-only observer fired at every multiple of
@@ -189,46 +90,26 @@ class Simulator {
   /// kSimTimeMax would otherwise mean ~2^40 redundant callbacks).
   /// A grid point coinciding with an event time fires before that
   /// event's batch: the observed state is "just before t".
-  /// Under kParallel, windows with more than one active partition tick
-  /// the observer at window barriers only; solo windows (every real
-  /// transfer-engine run) keep the exact serial grid semantics.
   void SetObserver(SimTime interval, std::function<void(SimTime)> fn) {
     MGJ_CHECK(interval > 0) << "observer interval must be positive";
-    if (kind_ == QueueKind::kParallel) {
-      par_->SetObserver(interval, std::move(fn));
-      return;
-    }
     observer_interval_ = interval;
     observer_ = std::move(fn);
     next_observation_ = (now_ / interval + 1) * interval;
   }
 
   void ClearObserver() {
-    if (kind_ == QueueKind::kParallel) {
-      par_->ClearObserver();
-      return;
-    }
     observer_ = nullptr;
     observer_interval_ = 0;
   }
 
   bool Empty() const {
-    switch (kind_) {
-      case QueueKind::kCalendar:
-        return calendar_.Empty();
-      case QueueKind::kHeapReference:
-        return heap_.Empty();
-      case QueueKind::kParallel:
-        return par_->Empty();
-    }
-    return true;
+    return kind_ == QueueKind::kCalendar ? calendar_.Empty() : heap_.Empty();
   }
 
-  /// Heap blocks the event arena(s) have obtained from the system
-  /// (tests: steady-state scheduling must keep this flat).
+  /// Heap blocks the event arena has obtained from the system (tests:
+  /// steady-state scheduling must keep this flat).
   std::size_t arena_blocks_allocated() const {
-    return kind_ == QueueKind::kParallel ? par_->arena_blocks_allocated()
-                                         : arena_.blocks_allocated();
+    return arena_.blocks_allocated();
   }
 
  private:
@@ -257,7 +138,6 @@ class Simulator {
   EventArena arena_;
   CalendarQueue calendar_;
   HeapQueue heap_;
-  std::unique_ptr<ParallelEngine> par_;  // non-null iff kParallel
 };
 
 }  // namespace mgjoin::sim

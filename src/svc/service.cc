@@ -117,14 +117,8 @@ Result<ServiceResult> QueryScheduler::Run(
     states[qi].last_arrival.assign(gpus_.size(), 0);
   }
 
-  // ---- Shared fabric: one simulator, one engine, all tenants. The
-  // parallel core keeps the wire contract (DESIGN.md Sec 16), so the
-  // SLO reports and traces are byte-identical at any MGJ_SIM_THREADS.
-  sim::Simulator sim(
-      sim::Simulator::ResolveSimThreads(
-          options_.join.transfer.sim_threads) > 0
-          ? sim::QueueKind::kParallel
-          : sim::QueueKind::kCalendar);
+  // ---- Shared fabric: one simulator, one engine, all tenants.
+  sim::Simulator sim;
   auto policy = net::MakePolicy(options_.join.policy,
                                 options_.join.transfer.max_intermediates);
   net::TransferOptions topts = options_.join.transfer;

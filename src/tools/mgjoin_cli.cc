@@ -1,28 +1,29 @@
 // mgjoin — command-line front end for the MG-Join simulator.
 //
 //   mgjoin topo  [--machine dgx1|dgxstation|dgx2]
-//   mgjoin join  [--gpus N] [--tuples N] [--policy P] [--zipf Z]
-//                [--key-zipf Z] [--packet-kb N] [--scale S]
-//                [--threads N] [--sim-threads N] [--no-compression]
-//                [--links]
+//   mgjoin join  [--machine M] [--gpus N] [--tuples N] [--policy P]
+//                [--zipf Z] [--key-zipf Z] [--packet-kb N] [--scale S]
+//                [--threads N] [--no-compression]
 //                [--trace=out.json] [--metrics]
 //                [--telemetry=out.om] [--telemetry-csv=out.csv]
 //                [--sample-every=250us]
 //                [--faults=down:gpu0-gpu3:@5ms,degrade:qpi0:0.5:@10ms]
 //   mgjoin serve [--queries N] [--inflight N]
 //                [--arbitration fifo|fair|priority] [--machine M]
-//                [--gpus N] [--tuples N] [--zipf Z] [--key-zipf Z]
-//                [--scale S] [--threads N] [--sim-threads N] [--no-solo]
+//                [--gpus N] [--tuples N] [--policy P] [--zipf Z]
+//                [--key-zipf Z] [--scale S] [--threads N] [--no-solo]
 //                [--faults=SPEC]
 //                [--trace=out.json] [--telemetry=out.om]
 //   mgjoin tpch  [--query 3|5|10|12|14|19|all] [--sf F] [--virtual-sf F]
+//                [--machine M]
 //   mgjoin report <trace.json> [--timeline] [--saturation=0.9]
 //   mgjoin scenario list
 //   mgjoin scenario show <name>
 //   mgjoin scenario run  <name|spec-file> [--trace=out.json]
 //
 // Policies: adaptive (default), direct, bandwidth, hopcount, latency,
-// centralized.
+// centralized. A `--flag` a subcommand does not list above is an error
+// (exit 1), never silently ignored.
 //
 // `--trace=out.json` writes a Chrome trace (open in Perfetto /
 // chrome://tracing) of the join's fabric activity: per-GPU DMA-engine
@@ -57,12 +58,15 @@
 // or a spec file under the invariant auditor and prints the verdict
 // (exit 0 iff every check passed).
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <map>
-#include <utility>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "common/thread_pool.h"
 #include "data/generator.h"
@@ -122,6 +126,21 @@ Args ParseArgs(int argc, char** argv, int first) {
   return a;
 }
 
+// A flag outside `known` is an error, never ignored: a typo or a retired
+// flag would otherwise run the default experiment. Prints the flag;
+// callers exit 1.
+bool KnownFlags(const char* cmd, const Args& args,
+                std::initializer_list<std::string_view> known) {
+  for (const auto& [key, value] : args.kv) {
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      std::fprintf(stderr, "mgjoin %s: unknown flag --%s\n", cmd,
+                   key.c_str());
+      return false;
+    }
+  }
+  return true;
+}
+
 // Unknown --machine / --policy names are errors, never defaults: a typo
 // would otherwise run a different experiment. Both print the valid
 // names; callers exit 1.
@@ -156,6 +175,7 @@ bool ParsePolicy(const std::string& p, net::PolicyKind* out) {
 }
 
 int CmdTopo(const Args& args) {
+  if (!KnownFlags("topo", args, {"machine"})) return 1;
   auto topo = MakeMachine(args.Get("machine", "dgx1"));
   if (topo == nullptr) return 1;
   std::printf("%s", topo->ToString().c_str());
@@ -173,6 +193,13 @@ int CmdTopo(const Args& args) {
 }
 
 int CmdJoin(const Args& args) {
+  if (!KnownFlags("join", args,
+                  {"machine", "policy", "gpus", "threads", "tuples", "zipf",
+                   "key-zipf", "packet-kb", "no-compression", "scale",
+                   "faults", "trace", "metrics", "telemetry",
+                   "telemetry-csv", "sample-every"})) {
+    return 1;
+  }
   auto topo = MakeMachine(args.Get("machine", "dgx1"));
   if (topo == nullptr) return 1;
   join::MgJoinOptions opts;
@@ -198,10 +225,6 @@ int CmdJoin(const Args& args) {
   auto [r, s] = data::MakeJoinInput(gen);
 
   opts.host_threads = threads;
-  // Simulator worker threads: > 0 selects the conservative parallel
-  // event core (byte-identical results; DESIGN.md Sec 16).
-  opts.transfer.sim_threads =
-      static_cast<int>(args.GetI("sim-threads", 0));
   opts.transfer.packet_bytes =
       static_cast<std::uint64_t>(args.GetI("packet-kb", 2048)) * kKiB;
   opts.use_compression = !args.Has("no-compression");
@@ -327,6 +350,12 @@ int CmdJoin(const Args& args) {
 // MGJ_INFLIGHT / MGJ_ARBITRATION environment variables when the flags
 // are absent.
 int CmdServe(const Args& args) {
+  if (!KnownFlags("serve", args,
+                  {"machine", "gpus", "queries", "inflight", "arbitration",
+                   "no-solo", "policy", "scale", "threads", "faults",
+                   "trace", "telemetry", "tuples", "zipf", "key-zipf"})) {
+    return 1;
+  }
   auto topo = MakeMachine(args.Get("machine", "dgx1"));
   if (topo == nullptr) return 1;
   const int g = static_cast<int>(args.GetI("gpus", topo->num_gpus()));
@@ -365,8 +394,6 @@ int CmdServe(const Args& args) {
   opts.join.virtual_scale = args.GetD("scale", 256.0);
   const int threads = static_cast<int>(args.GetI("threads", 0));
   opts.join.host_threads = threads;
-  opts.join.transfer.sim_threads =
-      static_cast<int>(args.GetI("sim-threads", 0));
 
   const std::string fault_spec = args.Get("faults", "");
   if (!fault_spec.empty()) {
@@ -456,6 +483,9 @@ int CmdServe(const Args& args) {
 }
 
 int CmdTpch(const Args& args) {
+  if (!KnownFlags("tpch", args, {"query", "sf", "virtual-sf", "machine"})) {
+    return 1;
+  }
   const std::string which = args.Get("query", "all");
   const double sf = args.GetD("sf", 0.05);
   const double vsf = args.GetD("virtual-sf", 250.0);
@@ -503,6 +533,7 @@ int CmdReport(int argc, char** argv) {
     return 1;
   }
   const Args args = ParseArgs(argc, argv, 3);
+  if (!KnownFlags("report", args, {"timeline", "saturation"})) return 1;
   std::FILE* f = std::fopen(argv[2], "rb");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s\n", argv[2]);
@@ -549,6 +580,8 @@ Result<scenario::ScenarioSpec> ResolveScenario(const std::string& arg) {
 
 int CmdScenario(int argc, char** argv) {
   const std::string sub = argc >= 3 ? argv[2] : "";
+  const Args args = ParseArgs(argc, argv, 3);
+  if (!KnownFlags("scenario", args, {"trace"})) return 1;
   if (sub == "list") {
     for (const auto& named : scenario::Corpus()) {
       std::printf("%s\n", named.name);
@@ -565,7 +598,6 @@ int CmdScenario(int argc, char** argv) {
       std::printf("%s", spec.value().ToText().c_str());
       return 0;
     }
-    const Args args = ParseArgs(argc, argv, 4);
     const scenario::ScenarioVerdict verdict =
         scenario::RunScenario(spec.value());
     std::printf("%s: %s", spec.value().name.c_str(),
@@ -602,8 +634,6 @@ void Usage() {
                "--no-compression\n"
                "        --threads N (host worker threads; 0 = MGJ_THREADS"
                " env, then hardware)\n"
-               "        --sim-threads N (parallel event core workers; 0 ="
-               " MGJ_SIM_THREADS env, unset = serial)\n"
                "        --trace=out.json --metrics\n"
                "        --telemetry=out.om --telemetry-csv=out.csv "
                "--sample-every=250us\n"

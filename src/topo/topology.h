@@ -157,20 +157,6 @@ class Topology {
   std::vector<std::vector<int>> nvlink_adj_;  // gpu_index -> gpu_index list
 };
 
-/// \brief Link-latency floor of the fabric: the minimum static one-way
-/// latency over every physical link.
-///
-/// This is the static lookahead of the conservative parallel event core
-/// (DESIGN.md Sec 16): no cross-partition interaction — a packet
-/// crossing a link direction, a delivery landing on another GPU — can
-/// take effect sooner than the fastest wire, so partitions may drain a
-/// [T, T + floor) window independently.
-inline sim::SimTime MinLinkLatency(const Topology& topo) {
-  sim::SimTime floor = sim::kSimTimeMax;
-  for (const Link& l : topo.links()) floor = std::min(floor, l.latency());
-  return floor;
-}
-
 }  // namespace mgjoin::topo
 
 #endif  // MGJOIN_TOPO_TOPOLOGY_H_

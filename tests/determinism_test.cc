@@ -369,13 +369,12 @@ std::vector<svc::QuerySpec> SharedDatasetStream() {
 }
 
 ServiceRun RunFaultedService(
-    std::size_t threads, net::ArbitrationKind kind, int sim_threads = 0,
+    std::size_t threads, net::ArbitrationKind kind,
     const std::vector<svc::QuerySpec>& queries = FourTenants()) {
   ThreadPool::SetDefaultThreads(threads);
   auto topo = topo::MakeDgx1V();
   svc::ServiceOptions opts;
   opts.arbitration = kind;
-  opts.join.transfer.sim_threads = sim_threads;
   opts.join.virtual_scale = 512;  // stretch the shuffle into the faults
   opts.join.transfer.faults =
       net::FaultPlan::Parse(
@@ -409,39 +408,13 @@ TEST(DeterminismTest, ServiceRunInvariantAcrossThreadCounts) {
   // Queries sharing datasets share one preparation per dataset.
   const std::vector<svc::QuerySpec> shared = SharedDatasetStream();
   const ServiceRun base =
-      RunFaultedService(1, net::ArbitrationKind::kFairShare, 0, shared);
+      RunFaultedService(1, net::ArbitrationKind::kFairShare, shared);
   EXPECT_GT(base.checksum, 0u);
   const ServiceRun run =
-      RunFaultedService(8, net::ArbitrationKind::kFairShare, 0, shared);
+      RunFaultedService(8, net::ArbitrationKind::kFairShare, shared);
   EXPECT_EQ(run.checksum, base.checksum);
   EXPECT_EQ(run.slo_text, base.slo_text);
   EXPECT_EQ(run.trace_json, base.trace_json);
-  ThreadPool::SetDefaultThreads(0);
-}
-
-TEST(DeterminismTest, ParallelEventCoreInvariantOnFaultedService) {
-  // The conservative parallel event core (QueueKind::kParallel, selected
-  // by transfer.sim_threads > 0) must reproduce the serial kCalendar
-  // core byte for byte on the hardest workload we have: a faulted
-  // 8-GPU adaptive multi-tenant service run — identical trace JSON,
-  // SLO report and join checksum at every event-core worker count,
-  // under all three arbitration policies.
-  for (const net::ArbitrationKind kind :
-       {net::ArbitrationKind::kFifo, net::ArbitrationKind::kFairShare,
-        net::ArbitrationKind::kPriority}) {
-    const std::string label = net::ArbitrationKindName(kind);
-    const ServiceRun base = RunFaultedService(4, kind, /*sim_threads=*/0);
-    EXPECT_GT(base.checksum, 0u) << label;
-    for (const int sim_threads : {1, 2, 8}) {
-      const ServiceRun run = RunFaultedService(4, kind, sim_threads);
-      EXPECT_EQ(run.checksum, base.checksum)
-          << label << " sim_threads=" << sim_threads;
-      EXPECT_EQ(run.slo_text, base.slo_text)
-          << label << " sim_threads=" << sim_threads;
-      EXPECT_EQ(run.trace_json, base.trace_json)
-          << label << " sim_threads=" << sim_threads;
-    }
-  }
   ThreadPool::SetDefaultThreads(0);
 }
 

@@ -3,9 +3,8 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <map>
-#include <tuple>
+#include <thread>
 #include <utility>
 
 #include "common/units.h"
@@ -218,13 +217,25 @@ EngineRun RunFlows(PolicyKind kind, const std::vector<int>& gpus,
   auto policy = MakePolicy(kind, options.max_intermediates);
   TransferEngine eng(&s, topo.get(), gpus, policy.get(), options);
   EngineRun run;
-  eng.set_deliver_callback([&run](const Packet& p, sim::SimTime) {
+  // The DeliverCallback contract: inline on the thread that runs the
+  // simulator, once per delivered packet, at the delivery instant, in
+  // non-decreasing time order.
+  const std::thread::id caller = std::this_thread::get_id();
+  sim::SimTime last_when = 0;
+  std::uint64_t deliveries = 0;
+  eng.set_deliver_callback([&](const Packet& p, sim::SimTime when) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    EXPECT_EQ(when, s.Now());
+    EXPECT_GE(when, last_when);
+    last_when = when;
+    ++deliveries;
     run.delivered_per_flow[p.flow_id] += p.payload_bytes;
   });
   for (const Flow& f : flows) eng.AddFlow(f);
   eng.Start();
   s.Run();
   EXPECT_TRUE(eng.AllDone());
+  EXPECT_EQ(deliveries, eng.stats().packets);
   run.stats = eng.stats();
   return run;
 }
@@ -440,77 +451,6 @@ TEST(TransferEngineTest, Dgx2SixteenGpuAllToAllCompletes) {
   EXPECT_TRUE(eng.AllDone());
   EXPECT_EQ(eng.stats().payload_bytes, total);
   EXPECT_LT(eng.stats().AvgIntermediateHops(), 0.05);
-}
-
-// ---------------------------------------------------------------------------
-// Parallel delivery staging: with a kParallel simulator and
-// parallel_delivery on, final-hop notifications are staged into the
-// destination GPU's partition at send time. The *set* of deliveries
-// (dst, flow, packet, time, bytes) and the engine stats must match the
-// serial engine exactly at any worker count; only the callback
-// interleaving across destination partitions may differ, so rows are
-// compared sorted.
-
-struct DeliveryRow {
-  int dst;
-  std::uint64_t flow;
-  std::uint64_t packet;
-  sim::SimTime when;
-  std::uint32_t bytes;
-  auto Key() const { return std::tie(dst, flow, packet, when, bytes); }
-  bool operator<(const DeliveryRow& o) const { return Key() < o.Key(); }
-  bool operator==(const DeliveryRow& o) const { return Key() == o.Key(); }
-};
-
-std::pair<std::vector<DeliveryRow>, TransferStats> ParallelDeliveryRun(
-    bool parallel, int threads) {
-  sim::Simulator s(parallel ? sim::QueueKind::kParallel
-                            : sim::QueueKind::kCalendar);
-  auto topo = MakeDgx1V();
-  auto policy = MakePolicy(PolicyKind::kAdaptive);
-  TransferOptions opts;
-  opts.sim_threads = threads;
-  opts.parallel_delivery = parallel;
-  opts.ring_buffer_bytes = 8 * kMiB;
-  opts.faults = FaultPlan::Parse(
-                    "degrade:qpi0:0.4:@0us,down:gpu0-gpu3:@1ms,"
-                    "restore:gpu0-gpu3:@4ms",
-                    *topo)
-                    .ValueOrDie();
-  TransferEngine eng(&s, topo.get(), topo::FirstNGpus(8), policy.get(),
-                     opts);
-  std::vector<DeliveryRow> rows;
-  eng.set_deliver_callback([&rows](const Packet& p, sim::SimTime when) {
-    rows.push_back({p.final_dst(), p.flow_id, p.id, when, p.payload_bytes});
-  });
-  std::uint64_t id = 0;
-  for (int a = 0; a < 8; ++a) {
-    for (int b = 0; b < 8; ++b) {
-      if (a != b) eng.AddFlow(Flow{id++, a, b, 12 * kMiB + a + b, 0, 0.0, {}});
-    }
-  }
-  eng.Start();
-  s.Run();
-  EXPECT_TRUE(eng.AllDone());
-  std::sort(rows.begin(), rows.end());
-  return {std::move(rows), eng.stats()};
-}
-
-TEST(TransferEngineTest, ParallelDeliveryMatchesSerialAtAnyWorkerCount) {
-  const auto [serial_rows, serial_stats] =
-      ParallelDeliveryRun(/*parallel=*/false, /*threads=*/0);
-  ASSERT_FALSE(serial_rows.empty());
-  for (int workers : {1, 2, 8}) {
-    const auto [par_rows, par_stats] =
-        ParallelDeliveryRun(/*parallel=*/true, workers);
-    EXPECT_TRUE(par_rows == serial_rows)
-        << "delivery set diverged at " << workers << " workers ("
-        << par_rows.size() << " vs " << serial_rows.size() << " rows)";
-    EXPECT_EQ(par_stats.payload_bytes, serial_stats.payload_bytes);
-    EXPECT_EQ(par_stats.wire_bytes, serial_stats.wire_bytes);
-    EXPECT_EQ(par_stats.packets, serial_stats.packets);
-    EXPECT_EQ(par_stats.last_delivery, serial_stats.last_delivery);
-  }
 }
 
 TEST(TransferEngineTest, ThroughputSaneForSingleNvLinkFlow) {

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <numeric>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -257,9 +256,6 @@ TEST(SimulatorTest, SchedulingDuringBatchedDispatchStaysFifo) {
                                    106};
   EXPECT_EQ(DispatchOrder(QueueKind::kCalendar), expect);
   EXPECT_EQ(DispatchOrder(QueueKind::kHeapReference), expect);
-  // kParallel without ConfigurePartitions degenerates to a single
-  // partition with unbounded lookahead — exact serial FIFO semantics.
-  EXPECT_EQ(DispatchOrder(QueueKind::kParallel), expect);
 }
 
 std::vector<int> BoundaryFireOrder(QueueKind kind,
@@ -295,7 +291,6 @@ TEST(SimulatorTest, LadderBucketBoundariesPopInGlobalOrder) {
                    [&](int a, int b) { return times[a] < times[b]; });
   EXPECT_EQ(BoundaryFireOrder(QueueKind::kCalendar, times), expect);
   EXPECT_EQ(BoundaryFireOrder(QueueKind::kHeapReference, times), expect);
-  EXPECT_EQ(BoundaryFireOrder(QueueKind::kParallel, times), expect);
 }
 
 TEST(SimulatorTest, SteadyStateSchedulingKeepsArenaFlat) {
@@ -345,15 +340,13 @@ TEST(SimulatorTest, SameTimestampEventsCanScheduleMoreAtSameTime) {
 // all repro experiments rely on.
 
 std::pair<std::string, std::uint64_t> TracedAdaptiveRun(
-    QueueKind kind = QueueKind::kCalendar, bool faulted = false,
-    int sim_threads = 0) {
+    QueueKind kind = QueueKind::kCalendar, bool faulted = false) {
   Simulator s(kind);
   auto topo = topo::MakeDgx1V();
   auto policy = net::MakePolicy(net::PolicyKind::kAdaptive);
   mgjoin::obs::TraceRecorder trace;
   net::TransferOptions opts;
   opts.obs.trace = &trace;
-  opts.sim_threads = sim_threads;
   opts.ring_buffer_bytes = 8 * kMiB;  // some backpressure + ring syncs
   if (faulted) {
     opts.faults = net::FaultPlan::Parse(
@@ -400,199 +393,6 @@ TEST(SimulatorTest, CalendarAndHeapQueuesProduceByteIdenticalTraces) {
   ASSERT_FALSE(cal_json.empty());
   EXPECT_EQ(cal_json, heap_json)
       << "calendar queue diverged from the heap reference";
-}
-
-TEST(SimulatorTest, ParallelCoreReproducesSerialTraceByteForByte) {
-  // The conservative parallel core behind kParallel must be
-  // observationally indistinguishable from the serial calendar queue on
-  // a full faulted 8-GPU adaptive run — same trace bytes, same event
-  // count — at every worker count. Engine-driven runs keep all events
-  // in the shared partition (solo windows), so this holds exactly,
-  // observer grid included.
-  const auto [cal_json, cal_events] =
-      TracedAdaptiveRun(QueueKind::kCalendar, /*faulted=*/true);
-  for (int workers : {1, 2, 8}) {
-    const auto [par_json, par_events] = TracedAdaptiveRun(
-        QueueKind::kParallel, /*faulted=*/true, /*sim_threads=*/workers);
-    EXPECT_EQ(cal_events, par_events) << "workers=" << workers;
-    EXPECT_EQ(cal_json, par_json)
-        << "parallel core diverged from the serial calendar queue at "
-        << workers << " workers";
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Conservative windowed execution: boundary times, cross-partition
-// ordering and the lookahead contract.
-
-// A chain hopping round-robin across partitions with every hop at
-// *exactly* the lookahead — the legal minimum for a cross-partition
-// schedule (events at T + lookahead sit on the first timestamp outside
-// the window [T, T + lookahead)). Returns per-partition logs of
-// "<time>" lines; partition-confined appends, so no synchronisation
-// is needed even when drains run on worker threads.
-struct PartitionHopper {
-  Simulator* s;
-  std::vector<std::vector<std::string>>* logs;
-  int parts;
-  SimTime hop;
-  int remaining;
-  void Fire(int p) {
-    (*logs)[static_cast<std::size_t>(p)].push_back(std::to_string(s->Now()));
-    if (remaining-- <= 0) return;
-    const int next = (p + 1) % parts;
-    s->ScheduleIn(next, hop, [this, next] { Fire(next); });
-  }
-};
-
-std::vector<std::vector<std::string>> CrossPartitionChainLogs(int threads) {
-  constexpr int kParts = 4;
-  constexpr SimTime kLookahead = 1000;
-  Simulator s(QueueKind::kParallel);
-  s.ConfigurePartitions(kParts, kLookahead, threads);
-  std::vector<std::vector<std::string>> logs(kParts);
-  PartitionHopper hopper{&s, &logs, kParts, kLookahead, 4 * kParts};
-  s.ScheduleAtIn(0, 0, [&hopper] { hopper.Fire(0); });
-  s.Run();
-  EXPECT_EQ(s.Now(), kLookahead * (4 * kParts));
-  return logs;
-}
-
-TEST(SimulatorTest, ParallelEventExactlyAtLookaheadIsLegal) {
-  // 17 hops at exactly the lookahead, each landing on the boundary of
-  // the window that scheduled it. Every partition fires at times
-  // p, p + 4, p + 8, ... (in lookahead units) and the result is
-  // identical at any worker count.
-  const auto serial = CrossPartitionChainLogs(1);
-  ASSERT_EQ(serial.size(), 4u);
-  for (int p = 0; p < 4; ++p) {
-    std::vector<std::string> expect;
-    for (int k = p; k <= 16; k += 4) {
-      expect.push_back(std::to_string(1000 * k));
-    }
-    EXPECT_EQ(serial[static_cast<std::size_t>(p)], expect) << "p=" << p;
-  }
-  EXPECT_EQ(CrossPartitionChainLogs(2), serial);
-  EXPECT_EQ(CrossPartitionChainLogs(8), serial);
-}
-
-TEST(SimulatorTest, ParallelZeroDurationChainsStayInWindow) {
-  // Zero-delay same-partition chains spawned mid-window run to
-  // completion inside that window, interleaved with the other active
-  // partitions' chains, without tripping the lookahead check (the
-  // conservative contract only constrains *cross-partition* schedules).
-  struct ZeroChain {
-    Simulator* s;
-    std::vector<int>* log;
-    void Fire(int depth) {
-      log->push_back(depth);
-      // Schedule() inherits the executing partition, so the whole chain
-      // stays partition-local at the current timestamp.
-      if (depth < 8) s->Schedule(0, [this, depth] { Fire(depth + 1); });
-    }
-  };
-  for (int threads : {1, 2, 8}) {
-    Simulator s(QueueKind::kParallel);
-    s.ConfigurePartitions(3, /*lookahead=*/1000, threads);
-    std::vector<std::vector<int>> logs(3);
-    std::array<ZeroChain, 3> chains{};
-    for (int p = 0; p < 3; ++p) {
-      chains[static_cast<std::size_t>(p)] = {
-          &s, &logs[static_cast<std::size_t>(p)]};
-      // Seed every partition at t=5 so the first window is multi-active.
-      auto* chain = &chains[static_cast<std::size_t>(p)];
-      s.ScheduleAtIn(p, 5, [chain] { chain->Fire(0); });
-    }
-    s.Run();
-    EXPECT_EQ(s.Now(), 5u) << "threads=" << threads;
-    for (int p = 0; p < 3; ++p) {
-      EXPECT_EQ(logs[static_cast<std::size_t>(p)],
-                (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8}))
-          << "threads=" << threads << " p=" << p;
-    }
-    EXPECT_EQ(s.events_processed(), 27u);
-  }
-}
-
-// Three source partitions each stage two events into partition 0 at the
-// *same* timestamp. The barrier merge must order them by the canonical
-// (when, stage_seq, src_partition) key — compared here against a
-// stable-sort oracle over exactly that key.
-std::vector<std::string> SameTimestampMergeLog(int threads) {
-  Simulator s(QueueKind::kParallel);
-  s.ConfigurePartitions(4, /*lookahead=*/1000, threads);
-  std::vector<std::string> log;  // only partition 0 appends
-  for (int p = 1; p < 4; ++p) {
-    s.ScheduleAtIn(p, 0, [&s, &log, p] {
-      for (int k = 0; k < 2; ++k) {
-        s.ScheduleAtIn(0, 5000, [&log, p, k] {
-          log.push_back("src" + std::to_string(p) + "#" + std::to_string(k));
-        });
-      }
-    });
-  }
-  s.Run();
-  return log;
-}
-
-TEST(SimulatorTest, ParallelSameTimestampCrossPartitionTiesAreCanonical) {
-  struct Rec {
-    SimTime when;
-    std::uint64_t stage_seq;
-    int src;
-    std::string label;
-  };
-  std::vector<Rec> oracle;
-  for (int p = 1; p < 4; ++p) {
-    for (int k = 0; k < 2; ++k) {
-      oracle.push_back({5000, static_cast<std::uint64_t>(k), p,
-                        "src" + std::to_string(p) + "#" + std::to_string(k)});
-    }
-  }
-  std::stable_sort(oracle.begin(), oracle.end(), [](const Rec& a,
-                                                    const Rec& b) {
-    return std::tie(a.when, a.stage_seq, a.src) <
-           std::tie(b.when, b.stage_seq, b.src);
-  });
-  std::vector<std::string> expect;
-  for (const Rec& r : oracle) expect.push_back(r.label);
-
-  const auto serial = SameTimestampMergeLog(1);
-  EXPECT_EQ(serial, expect)
-      << "merge order diverged from the (when, stage_seq, src) oracle";
-  EXPECT_EQ(SameTimestampMergeLog(2), serial);
-  EXPECT_EQ(SameTimestampMergeLog(8), serial);
-}
-
-TEST(SimulatorTest, ParallelRunUntilAdvancesClockAcrossPartitions) {
-  // Bounded runs on the parallel core: events past `until` stay queued,
-  // the clock still lands exactly on `until`, and a later unbounded Run
-  // picks the stragglers back up.
-  Simulator s(QueueKind::kParallel);
-  s.ConfigurePartitions(2, /*lookahead=*/1000, /*threads=*/2);
-  std::vector<int> fired;
-  s.ScheduleAtIn(0, 500, [&fired] { fired.push_back(0); });
-  s.ScheduleAtIn(1, 4500, [&fired] { fired.push_back(1); });
-  EXPECT_EQ(s.RunUntil(2000), 2000u);
-  EXPECT_EQ(fired, (std::vector<int>{0}));
-  EXPECT_EQ(s.queue_size(), 1u);
-  s.Run();
-  EXPECT_EQ(fired, (std::vector<int>{0, 1}));
-  EXPECT_EQ(s.Now(), 4500u);  // same as serial: clock rests on the last event
-}
-
-TEST(SimulatorDeathTest, ParallelCrossPartitionScheduleInsideLookaheadDies) {
-  // The conservative contract: a cross-partition event landing strictly
-  // inside the executing window is unservable without rollback, so the
-  // engine must fail fast and name the offending partitions and times.
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  auto violate = [] {
-    Simulator s(QueueKind::kParallel);
-    s.ConfigurePartitions(2, /*lookahead=*/1000, /*threads=*/1);
-    s.ScheduleAtIn(0, 0, [&s] { s.ScheduleIn(1, 500, [] {}); });
-    s.Run();
-  };
-  EXPECT_DEATH(violate(), "violates the conservative lookahead");
 }
 
 }  // namespace
