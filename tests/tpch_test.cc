@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 #include <set>
+#include <string>
 
 #include "exec/engine.h"
 #include "topo/presets.h"
@@ -111,6 +115,90 @@ TEST_F(TpchTest, AllQueriesRunAndEnginesAgree) {
     // DPRJ must not be faster.
     EXPECT_GE(b.value().time, a.value().time) << name;
   }
+}
+
+// Exact answers of every query at SF 0.01 on 4 GPUs, under both join
+// backends. Doubles are hex-float literals and compare by bit pattern, so
+// any change in what a query reads, charges or sums (summation order
+// included) shows up here.
+TEST_F(TpchTest, QueryOutputsMatchPinnedValues) {
+  struct Pinned {
+    const char* name;
+    bool dprj;
+    double value;
+    std::uint64_t result_rows;
+    sim::SimTime time;
+    double ops[7];  // OpCounts in declaration order
+  };
+  const Pinned kPinned[] = {
+      {"Q3", false, 0x1.3ba668ee69b0fp+21, 10u, 619210315570u,
+       {0x1.c7a2c2ep+30, 0x1.108578fp+31, 0x1.beb1f16p+30, 0x1.8fc7cp+21,
+        0x1.d9db5f8p+32, 0x1.896402p+28, 0x1.6c92dc32p+34}},
+      {"Q5", false, 0x1.2c76144a535ccp+21, 5u, 1112750356820u,
+       {0x1.c83b596p+30, 0x1.c376a56p+31, 0x1.91fdd9ep+31, 0x1.4p+2,
+        0x1.db0c8c8p+32, 0x1.8bc65cp+28, 0x1.6ca5ef02p+34}},
+      {"Q10", false, 0x1.789dc55c201d9p+22, 20u, 998070987314u,
+       {0x1.c7a2c2ep+30, 0x1.967642ap+31, 0x1.6549c26p+31, 0x1.3e255p+23,
+        0x1.d9db5f8p+32, 0x1.896402p+28, 0x1.6c92dc32p+34}},
+      {"Q12", false, 0x1.51p+8, 2u, 435620010977u,
+       {0x1.beb1f16p+30, 0x1.beb1f16p+30, 0x1.6549c26p+30, 0x1p+1,
+        0x1.bf08ebp+32, 0x1.65a0bcp+28, 0x1.6ae5b4eap+34}},
+      {"Q14", false, 0x1.05665553eaa2dp+4, 1u, 418217819617u,
+       {0x1.7135846p+30, 0x1.7135846p+30, 0x1.6549c26p+30, 0x1p+0,
+        0x1.dcd65p+29, 0x1.7d784p+25, 0x1.52aed2dap+34}},
+      {"Q19", false, 0x1.1a0c19e3809cp+16, 1u, 527828971422u,
+       {0x1.7135846p+30, 0x1.7135846p+30, 0x1.6549c26p+30, 0x1.24f8p+16,
+        0x1.dcd65p+29, 0x1.7d784p+25, 0x1.52aed2dap+34}},
+      {"Q3", true, 0x1.3ba668ee69b0fp+21, 10u, 683587815715u,
+       {0x1.c7a2c2ep+30, 0x1.108578fp+31, 0x1.beb1f16p+30, 0x1.8fc7cp+21,
+        0x1.d9db5f8p+32, 0x1.896402p+28, 0x1.6c92dc32p+34}},
+      {"Q5", true, 0x1.2c76144a535ccp+21, 5u, 1216941259093u,
+       {0x1.c83b596p+30, 0x1.c376a56p+31, 0x1.91fdd9ep+31, 0x1.4p+2,
+        0x1.db0c8c8p+32, 0x1.8bc65cp+28, 0x1.6ca5ef02p+34}},
+      {"Q10", true, 0x1.789dc55c201d9p+22, 20u, 1092786412784u,
+       {0x1.c7a2c2ep+30, 0x1.967642ap+31, 0x1.6549c26p+31, 0x1.3e255p+23,
+        0x1.d9db5f8p+32, 0x1.896402p+28, 0x1.6c92dc32p+34}},
+      {"Q12", true, 0x1.51p+8, 2u, 486071451951u,
+       {0x1.beb1f16p+30, 0x1.beb1f16p+30, 0x1.6549c26p+30, 0x1p+1,
+        0x1.bf08ebp+32, 0x1.65a0bcp+28, 0x1.6ae5b4eap+34}},
+      {"Q14", true, 0x1.05665553eaa29p+4, 1u, 462746650722u,
+       {0x1.7135846p+30, 0x1.7135846p+30, 0x1.6549c26p+30, 0x1p+0,
+        0x1.dcd65p+29, 0x1.7d784p+25, 0x1.52aed2dap+34}},
+      {"Q19", true, 0x1.1a0c19e3809cp+16, 1u, 572357802527u,
+       {0x1.7135846p+30, 0x1.7135846p+30, 0x1.6549c26p+30, 0x1.24f8p+16,
+        0x1.dcd65p+29, 0x1.7d784p+25, 0x1.52aed2dap+34}},
+  };
+  const auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
+  std::size_t checked = 0;
+  for (const bool dprj : {false, true}) {
+    for (const auto& [name, fn] : AllQueries()) {
+      const Pinned* want = nullptr;
+      for (const Pinned& p : kPinned) {
+        if (p.name == name && p.dprj == dprj) want = &p;
+      }
+      ASSERT_NE(want, nullptr) << name;
+      exec::Engine eng =
+          dprj ? MakeEngine(join::MgJoinOptions::Dprj()) : MakeEngine();
+      auto r = fn(eng, *db_);
+      ASSERT_TRUE(r.ok()) << name << ": " << r.status().ToString();
+      const QueryOutput& q = r.value();
+      const std::string where = name + (dprj ? " (DPRJ)" : " (MG-Join)");
+      EXPECT_EQ(bits(q.value), bits(want->value)) << where;
+      EXPECT_EQ(q.result_rows, want->result_rows) << where;
+      EXPECT_EQ(q.time, want->time) << where;
+      const double got_ops[7] = {
+          q.ops.rows_scanned,     q.ops.rows_joined,
+          q.ops.join_output_rows, q.ops.rows_out,
+          q.ops.replicated_bytes, q.ops.replicated_rows,
+          q.ops.local_bytes};
+      for (int i = 0; i < 7; ++i) {
+        EXPECT_EQ(bits(got_ops[i]), bits(want->ops[i]))
+            << where << " OpCounts field " << i;
+      }
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, std::size(kPinned));
 }
 
 TEST_F(TpchTest, Q14PercentageIsPlausible) {
