@@ -7,42 +7,6 @@
 
 namespace mgjoin::exec {
 
-namespace {
-
-// Locates the (shard, local row) of a global row id.
-struct ShardCursor {
-  explicit ShardCursor(const DistTable& t) {
-    base.push_back(0);
-    for (const Table& s : t.shards) {
-      base.push_back(base.back() + s.rows());
-    }
-  }
-  std::pair<int, std::uint64_t> Locate(std::uint64_t global) const {
-    int lo = 0, hi = static_cast<int>(base.size()) - 1;
-    while (hi - lo > 1) {
-      const int mid = (lo + hi) / 2;
-      (base[mid] <= global ? lo : hi) = mid;
-    }
-    return {lo, global - base[lo]};
-  }
-  std::vector<std::uint64_t> base;
-};
-
-}  // namespace
-
-void AppendRow(const Table& src, std::uint64_t row,
-               const std::vector<std::string>& columns, Table* dst) {
-  for (const std::string& name : columns) {
-    const Column& from = src.col(name);
-    Column& to = dst->col(name);
-    if (from.type == ColType::kDouble) {
-      to.doubles.push_back(from.doubles[row]);
-    } else {
-      to.ints.push_back(from.ints[row]);
-    }
-  }
-}
-
 Engine::Engine(const topo::Topology* topo, std::vector<int> gpus,
                EngineOptions options)
     : topo_(topo), gpus_(std::move(gpus)), options_(std::move(options)) {
@@ -98,41 +62,18 @@ void Engine::ChargeGather(
   }
 }
 
-void Engine::ChargeTableScan(const DistTable& t) {
-  std::vector<std::uint64_t> bytes;
-  bytes.reserve(t.shards.size());
-  for (const Table& s : t.shards) bytes.push_back(s.TotalBytes());
-  ChargeScan(bytes);
-}
-
-DistTable Engine::Filter(const DistTable& in,
-                         const std::vector<std::string>& pred_columns,
-                         const Predicate& pred,
-                         const std::vector<std::string>& columns) {
+DistTable Engine::Project(const DistTable& in,
+                          const std::vector<std::string>& columns) {
   DistTable out;
   out.shards.resize(in.shards.size());
-  std::vector<std::uint64_t> charged(in.shards.size(), 0);
+  std::vector<std::uint64_t> charged;
+  charged.reserve(in.shards.size());
   for (std::size_t g = 0; g < in.shards.size(); ++g) {
-    const Table& shard = in.shards[g];
-    Table& dst = out.shards[g];
     for (const std::string& name : columns) {
-      dst.AddColumn(name, shard.col(name).type);
+      const Column& src = in.shards[g].col(name);
+      out.shards[g].AddColumn(name, src.type) = src;
     }
-    std::uint64_t pred_bytes = 0;
-    for (const std::string& name : pred_columns) {
-      pred_bytes += shard.col(name).ByteWidth();
-    }
-    std::uint64_t kept = 0;
-    for (std::uint64_t row = 0; row < shard.rows(); ++row) {
-      if (!pred(shard, row)) continue;
-      AppendRow(shard, row, columns, &dst);
-      ++kept;
-    }
-    std::uint64_t out_width = 0;
-    for (const std::string& name : columns) {
-      out_width += shard.col(name).ByteWidth();
-    }
-    charged[g] = pred_bytes * shard.rows() + out_width * kept;
+    charged.push_back(out.shards[g].TotalBytes());
   }
   ChargeScan(charged);
   return out;
@@ -145,39 +86,30 @@ Result<Engine::Joined> Engine::HashJoin(const DistTable& left,
   if (left.num_shards() != num_gpus() || right.num_shards() != num_gpus()) {
     return Status::InvalidArgument("tables must be sharded per GPU");
   }
-  // Build (key, global row id) relations for both sides.
-  data::DistRelation r, s;
-  r.shards.resize(num_gpus());
-  s.shards.resize(num_gpus());
+  // Build the (key, global row id) relation of each side. Global ids
+  // stack the shards in order; GatherPairs reads them back.
   std::int64_t max_key = 0;
-  std::uint64_t next_global = 0;
-  for (int g = 0; g < num_gpus(); ++g) {
-    const Column& c = left.shards[g].col(left_key);
-    r.shards[g].reserve(c.ints.size());
-    for (std::int64_t k : c.ints) {
-      if (k < 0 || k > 0xFFFFFFFFll) {
-        return Status::InvalidArgument("join key out of 32-bit range");
+  auto key_relation = [&](const DistTable& t, const std::string& key,
+                          data::DistRelation* rel) {
+    rel->shards.resize(num_gpus());
+    std::uint32_t next_global = 0;
+    for (int g = 0; g < num_gpus(); ++g) {
+      const std::vector<std::int64_t>& keys = t.shards[g].col(key).ints;
+      rel->shards[g].reserve(keys.size());
+      for (std::int64_t k : keys) {
+        if (k < 0 || k > 0xFFFFFFFFll) {
+          return Status::InvalidArgument("join key out of 32-bit range");
+        }
+        max_key = std::max(max_key, k);
+        rel->shards[g].push_back(
+            data::Tuple{static_cast<std::uint32_t>(k), next_global++});
       }
-      max_key = std::max(max_key, k);
-      r.shards[g].push_back(data::Tuple{
-          static_cast<std::uint32_t>(k),
-          static_cast<std::uint32_t>(next_global++)});
     }
-  }
-  next_global = 0;
-  for (int g = 0; g < num_gpus(); ++g) {
-    const Column& c = right.shards[g].col(right_key);
-    s.shards[g].reserve(c.ints.size());
-    for (std::int64_t k : c.ints) {
-      if (k < 0 || k > 0xFFFFFFFFll) {
-        return Status::InvalidArgument("join key out of 32-bit range");
-      }
-      max_key = std::max(max_key, k);
-      s.shards[g].push_back(data::Tuple{
-          static_cast<std::uint32_t>(k),
-          static_cast<std::uint32_t>(next_global++)});
-    }
-  }
+    return Status::OK();
+  };
+  data::DistRelation r, s;
+  MGJ_RETURN_NOT_OK(key_relation(left, left_key, &r));
+  MGJ_RETURN_NOT_OK(key_relation(right, right_key, &s));
   const int domain_bits =
       std::max(1, Log2Ceil(static_cast<std::uint64_t>(max_key) + 1));
   r.domain_bits = domain_bits;
@@ -207,39 +139,19 @@ DistTable Engine::MaterializeJoin(
     const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pairs,
     const std::vector<std::string>& left_cols,
     const std::vector<std::string>& right_cols) {
+  const std::size_t g = gpus_.size();
   DistTable out;
-  const int g = num_gpus();
-  out.shards.resize(g);
-  const ShardCursor lcur(left), rcur(right);
-  for (int d = 0; d < g; ++d) {
-    Table& dst = out.shards[d];
-    for (const std::string& name : left_cols) {
-      dst.AddColumn(name, left.shards[0].col(name).type);
-    }
-    for (const std::string& name : right_cols) {
-      dst.AddColumn(name, right.shards[0].col(name).type);
-    }
+  out.shards.reserve(g);
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> mine;
+  for (std::size_t d = 0; d < g; ++d) {
+    mine.clear();
+    for (std::size_t i = d; i < pairs.size(); i += g) mine.push_back(pairs[i]);
+    out.shards.push_back(
+        GatherPairs(left, right, mine, left_cols, right_cols));
   }
-  std::uint64_t i = 0;
-  std::uint64_t width = 0;
-  for (const std::string& name : left_cols) {
-    width += left.shards[0].col(name).ByteWidth();
-  }
-  for (const std::string& name : right_cols) {
-    width += right.shards[0].col(name).ByteWidth();
-  }
-  for (const auto& [lrow, rrow] : pairs) {
-    Table& dst = out.shards[i++ % g];
-    const auto [ls, li] = lcur.Locate(lrow);
-    const auto [rs, ri] = rcur.Locate(rrow);
-    AppendRow(left.shards[ls], li, left_cols, &dst);
-    AppendRow(right.shards[rs], ri, right_cols, &dst);
-  }
-  // Gather cost: every output row fetches `width` bytes from random
+  // Gather cost: every output row fetches its row width from random
   // source rows, spread evenly.
-  std::vector<std::uint64_t> charged(
-      g, pairs.size() * width / std::max(1, g));
-  ChargeGather(charged);
+  ChargeGather(std::vector<std::uint64_t>(g, out.TotalBytes() / g));
   return out;
 }
 

@@ -1,7 +1,6 @@
 #ifndef MGJOIN_EXEC_ENGINE_H_
 #define MGJOIN_EXEC_ENGINE_H_
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -20,7 +19,7 @@ struct EngineOptions {
   join::MgJoinOptions join;
 };
 
-/// \brief Minimal sharded relational engine: filters, MG-Join-backed
+/// \brief Minimal sharded relational engine: projections, MG-Join-backed
 /// equi-joins, and materialization, with a simulated per-query clock.
 ///
 /// Operators execute functionally on the real shard data and charge the
@@ -32,17 +31,11 @@ class Engine {
   Engine(const topo::Topology* topo, std::vector<int> gpus,
          EngineOptions options);
 
-  /// Row predicate evaluated against one shard.
-  using Predicate = std::function<bool(const Table& shard, std::uint64_t row)>;
-
-  /// \brief Selects rows matching `pred`, keeping only `columns`.
+  /// \brief Keeps `columns` of `in`, all rows, copying whole columns.
   ///
-  /// Charges one scan of the predicate columns plus the gather of the
-  /// output. `pred_columns` lists the columns the predicate reads.
-  DistTable Filter(const DistTable& in,
-                   const std::vector<std::string>& pred_columns,
-                   const Predicate& pred,
-                   const std::vector<std::string>& columns);
+  /// Charges one scan of the output: row width x rows per shard.
+  DistTable Project(const DistTable& in,
+                    const std::vector<std::string>& columns);
 
   /// Matched global-row pairs of an equi-join.
   struct Joined {
@@ -61,8 +54,9 @@ class Engine {
                           const std::string& right_key);
 
   /// \brief Builds the joined intermediate table from HashJoin pairs,
-  /// keeping `left_cols` and `right_cols` (prefixing neither). The
-  /// result is re-sharded evenly. Charges the gather.
+  /// keeping `left_cols` and `right_cols` (prefixing neither). Output
+  /// row `i` lands on shard `i % num_gpus()` (GatherPairs per shard).
+  /// Charges the gather.
   DistTable MaterializeJoin(
       const DistTable& left, const DistTable& right,
       const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pairs,
@@ -75,9 +69,6 @@ class Engine {
   /// Charges a sharded random-access gather (payload fetches during
   /// materialization and aggregation run at GpuSpec::gather_efficiency).
   void ChargeGather(const std::vector<std::uint64_t>& bytes_per_shard);
-
-  /// Charges a full scan of every shard of `t`.
-  void ChargeTableScan(const DistTable& t);
 
   /// Simulated elapsed time of the query so far.
   sim::SimTime elapsed() const;
@@ -99,11 +90,6 @@ class Engine {
   /// fresh query id unless the options pin one (see MgJoinOptions).
   std::uint64_t next_query_id_ = 0;
 };
-
-/// Copies row `row` of every listed column from `src` into `dst`
-/// (appending). Exposed for the query implementations.
-void AppendRow(const Table& src, std::uint64_t row,
-               const std::vector<std::string>& columns, Table* dst);
 
 }  // namespace mgjoin::exec
 

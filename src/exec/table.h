@@ -3,8 +3,9 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -88,53 +89,23 @@ struct DistTable {
     return n;
   }
   int num_shards() const { return static_cast<int>(shards.size()); }
-
-  /// Global row id of local row `i` in shard `s` (shards are stacked in
-  /// order). Used to address rows in materialized join pairs.
-  std::uint64_t GlobalRow(int s, std::uint64_t i) const {
-    std::uint64_t base = 0;
-    for (int j = 0; j < s; ++j) base += shards[j].rows();
-    return base + i;
-  }
 };
 
 /// Days since 1970-01-01 for a calendar date (proleptic Gregorian).
 std::int32_t DateToDays(int year, int month, int day);
 
-/// \brief Maps global row ids of a DistTable back to (shard, local row).
-/// Join pairs address rows globally; aggregations use this to fetch the
-/// payload columns.
-class RowLocator {
- public:
-  explicit RowLocator(const DistTable& t) : table_(&t) {
-    base_.push_back(0);
-    for (const Table& s : t.shards) base_.push_back(base_.back() + s.rows());
-  }
-
-  std::pair<int, std::uint64_t> Locate(std::uint64_t global) const {
-    int lo = 0, hi = static_cast<int>(base_.size()) - 1;
-    while (hi - lo > 1) {
-      const int mid = (lo + hi) / 2;
-      (base_[mid] <= global ? lo : hi) = mid;
-    }
-    return {lo, global - base_[lo]};
-  }
-
-  /// Integer value of `column` at a global row.
-  std::int64_t Int(const std::string& column, std::uint64_t global) const {
-    const auto [s, i] = Locate(global);
-    return table_->shards[s].col(column).ints[i];
-  }
-  /// Double value of `column` at a global row.
-  double Double(const std::string& column, std::uint64_t global) const {
-    const auto [s, i] = Locate(global);
-    return table_->shards[s].col(column).doubles[i];
-  }
-
- private:
-  const DistTable* table_;
-  std::vector<std::uint64_t> base_;
-};
+/// \brief Gathers the rows of a join's matched pairs into one table.
+///
+/// Each pair addresses a left and a right row by global row id (shards
+/// stacked in order, as Engine::HashJoin numbers them). Output row `i`
+/// holds `left_cols` of `pairs[i].first` followed by `right_cols` of
+/// `pairs[i].second`, so pair order is kept. Runs one column at a time
+/// and charges no simulated time.
+Table GatherPairs(
+    const DistTable& left, const DistTable& right,
+    std::span<const std::pair<std::uint32_t, std::uint32_t>> pairs,
+    const std::vector<std::string>& left_cols,
+    const std::vector<std::string>& right_cols);
 
 }  // namespace mgjoin::exec
 

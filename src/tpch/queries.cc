@@ -13,7 +13,7 @@ namespace {
 using exec::DateToDays;
 using exec::DistTable;
 using exec::Engine;
-using exec::RowLocator;
+using exec::GatherPairs;
 using exec::Table;
 
 // The paper's query implementations route whole relations through
@@ -49,13 +49,6 @@ void CountJoin(const Engine::Joined& j, OpCounts* ops) {
                            std::max<double>(1.0, j.stats.input_tuples);
 }
 
-// Projection: keep `columns`, all rows (charges one scan).
-DistTable Project(Engine& eng, const DistTable& t,
-                  const std::vector<std::string>& columns) {
-  return eng.Filter(
-      t, {}, [](const Table&, std::uint64_t) { return true; }, columns);
-}
-
 void ChargeAggregation(Engine& eng, std::size_t pair_count,
                        std::uint64_t row_bytes) {
   // Residual predicates + hash aggregation fetch payloads by row id.
@@ -63,6 +56,18 @@ void ChargeAggregation(Engine& eng, std::size_t pair_count,
       eng.num_gpus(),
       static_cast<std::uint64_t>(pair_count) * row_bytes /
           static_cast<std::uint64_t>(eng.num_gpus())));
+}
+
+// Sum of the `k` largest group values, added largest first.
+double TopKSum(const std::unordered_map<std::int64_t, double>& groups,
+               std::size_t k) {
+  std::vector<double> values;
+  values.reserve(groups.size());
+  for (const auto& [key, v] : groups) values.push_back(v);
+  std::sort(values.rbegin(), values.rend());
+  double sum = 0;
+  for (std::size_t i = 0; i < values.size() && i < k; ++i) sum += values[i];
+  return sum;
 }
 
 }  // namespace
@@ -77,13 +82,13 @@ Result<QueryOutput> RunQ3(Engine& eng, const TpchData& db) {
 
   CountScan(db.customer, vs, &out.ops);
   CountReplicated(db.customer, vs, &out.ops);
-  DistTable c = Project(eng, db.customer, {"c_custkey", "c_mktsegment"});
+  DistTable c = eng.Project(db.customer, {"c_custkey", "c_mktsegment"});
 
   CountScan(db.orders, vs, &out.ops);
   CountReplicated(db.orders, vs, &out.ops);
-  DistTable o = Project(eng, db.orders,
-                        {"o_orderkey", "o_custkey", "o_orderdate",
-                         "o_shippriority"});
+  DistTable o = eng.Project(db.orders,
+                            {"o_orderkey", "o_custkey", "o_orderdate",
+                             "o_shippriority"});
 
   MGJ_ASSIGN_OR_RETURN(Engine::Joined j1,
                        eng.HashJoin(c, "c_custkey", o, "o_custkey"));
@@ -93,36 +98,35 @@ Result<QueryOutput> RunQ3(Engine& eng, const TpchData& db) {
       {"o_orderkey", "o_orderdate", "o_shippriority"});
 
   CountScan(db.lineitem, vs, &out.ops);
-  DistTable l = Project(
-      eng, db.lineitem,
-      {"l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"});
+  DistTable l = eng.Project(db.lineitem,
+                            {"l_orderkey", "l_extendedprice", "l_discount",
+                             "l_shipdate"});
 
   MGJ_ASSIGN_OR_RETURN(Engine::Joined j2,
                        eng.HashJoin(co, "o_orderkey", l, "l_orderkey"));
   CountJoin(j2, &out.ops);
 
   // Residual predicates + group by (orderkey, orderdate, shippriority).
-  const RowLocator lco(co), ll(l);
+  const Table m = GatherPairs(
+      co, l, j2.pairs, {"c_mktsegment", "o_orderdate", "o_orderkey"},
+      {"l_shipdate", "l_extendedprice", "l_discount"});
+  const auto& segment = m.col("c_mktsegment").ints;
+  const auto& orderdate = m.col("o_orderdate").ints;
+  const auto& orderkey = m.col("o_orderkey").ints;
+  const auto& shipdate = m.col("l_shipdate").ints;
+  const auto& price = m.col("l_extendedprice").doubles;
+  const auto& discount = m.col("l_discount").doubles;
   std::unordered_map<std::int64_t, double> revenue;
-  for (const auto& [crow, lrow] : j2.pairs) {
-    if (lco.Int("c_mktsegment", crow) != codes::kSegBuilding) continue;
-    if (lco.Int("o_orderdate", crow) >= cutoff) continue;
-    if (ll.Int("l_shipdate", lrow) <= cutoff) continue;
-    revenue[lco.Int("o_orderkey", crow)] +=
-        ll.Double("l_extendedprice", lrow) *
-        (1.0 - ll.Double("l_discount", lrow));
+  for (std::size_t i = 0; i < m.rows(); ++i) {
+    if (segment[i] != codes::kSegBuilding) continue;
+    if (orderdate[i] >= cutoff) continue;
+    if (shipdate[i] <= cutoff) continue;
+    revenue[orderkey[i]] += price[i] * (1.0 - discount[i]);
   }
   ChargeAggregation(eng, j2.pairs.size(), 32);
 
-  std::vector<double> revs;
-  revs.reserve(revenue.size());
-  for (const auto& [k, v] : revenue) revs.push_back(v);
-  std::sort(revs.rbegin(), revs.rend());
-  double top = 0;
-  for (std::size_t i = 0; i < revs.size() && i < 10; ++i) top += revs[i];
-
   out.result_rows = std::min<std::uint64_t>(10, revenue.size());
-  out.value = top;
+  out.value = TopKSum(revenue, 10);
   out.ops.rows_out = static_cast<double>(revenue.size()) * vs;
   out.time = eng.elapsed();
   return out;
@@ -142,10 +146,11 @@ Result<QueryOutput> RunQ5(Engine& eng, const TpchData& db) {
   std::vector<bool> in_asia(25, false);
   {
     const Table& n = db.nation.shards[0];
-    for (std::uint64_t i = 0; i < n.rows(); ++i) {
-      if (n.col("n_regionkey").ints[i] == codes::kRegionAsia) {
-        in_asia[static_cast<std::size_t>(n.col("n_nationkey").ints[i])] =
-            true;
+    const auto& regionkey = n.col("n_regionkey").ints;
+    const auto& nationkey = n.col("n_nationkey").ints;
+    for (std::size_t i = 0; i < n.rows(); ++i) {
+      if (regionkey[i] == codes::kRegionAsia) {
+        in_asia[static_cast<std::size_t>(nationkey[i])] = true;
       }
     }
     eng.ChargeScan(std::vector<std::uint64_t>(eng.num_gpus(), 512));
@@ -153,12 +158,12 @@ Result<QueryOutput> RunQ5(Engine& eng, const TpchData& db) {
 
   CountScan(db.customer, vs, &out.ops);
   CountReplicated(db.customer, vs, &out.ops);
-  DistTable c = Project(eng, db.customer, {"c_custkey", "c_nationkey"});
+  DistTable c = eng.Project(db.customer, {"c_custkey", "c_nationkey"});
 
   CountScan(db.orders, vs, &out.ops);
   CountReplicated(db.orders, vs, &out.ops);
-  DistTable o = Project(eng, db.orders,
-                        {"o_orderkey", "o_custkey", "o_orderdate"});
+  DistTable o = eng.Project(db.orders,
+                            {"o_orderkey", "o_custkey", "o_orderdate"});
 
   MGJ_ASSIGN_OR_RETURN(Engine::Joined j1,
                        eng.HashJoin(c, "c_custkey", o, "o_custkey"));
@@ -167,9 +172,9 @@ Result<QueryOutput> RunQ5(Engine& eng, const TpchData& db) {
                                      {"o_orderkey", "o_orderdate"});
 
   CountScan(db.lineitem, vs, &out.ops);
-  DistTable l = Project(
-      eng, db.lineitem,
-      {"l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"});
+  DistTable l = eng.Project(db.lineitem,
+                            {"l_orderkey", "l_suppkey", "l_extendedprice",
+                             "l_discount"});
 
   MGJ_ASSIGN_OR_RETURN(Engine::Joined j2,
                        eng.HashJoin(co, "o_orderkey", l, "l_orderkey"));
@@ -180,23 +185,30 @@ Result<QueryOutput> RunQ5(Engine& eng, const TpchData& db) {
 
   CountScan(db.supplier, vs, &out.ops);
   CountReplicated(db.supplier, vs, &out.ops);
-  DistTable s = Project(eng, db.supplier, {"s_suppkey", "s_nationkey"});
+  DistTable s = eng.Project(db.supplier, {"s_suppkey", "s_nationkey"});
 
   MGJ_ASSIGN_OR_RETURN(Engine::Joined j3,
                        eng.HashJoin(col, "l_suppkey", s, "s_suppkey"));
   CountJoin(j3, &out.ops);
 
   // Residual predicates; group by nation.
-  const RowLocator lcol(col), ls(s);
+  const Table m = GatherPairs(
+      col, s, j3.pairs,
+      {"c_nationkey", "o_orderdate", "l_extendedprice", "l_discount"},
+      {"s_nationkey"});
+  const auto& cust_nation = m.col("c_nationkey").ints;
+  const auto& orderdate = m.col("o_orderdate").ints;
+  const auto& price = m.col("l_extendedprice").doubles;
+  const auto& discount = m.col("l_discount").doubles;
+  const auto& supp_nation = m.col("s_nationkey").ints;
   std::map<std::int64_t, double> by_nation;
-  for (const auto& [colrow, srow] : j3.pairs) {
-    const std::int64_t cn = lcol.Int("c_nationkey", colrow);
-    const std::int64_t sn = ls.Int("s_nationkey", srow);
-    if (cn != sn || !in_asia[static_cast<std::size_t>(sn)]) continue;
-    const std::int64_t d = lcol.Int("o_orderdate", colrow);
-    if (d < lo || d >= hi) continue;
-    by_nation[sn] += lcol.Double("l_extendedprice", colrow) *
-                     (1.0 - lcol.Double("l_discount", colrow));
+  for (std::size_t i = 0; i < m.rows(); ++i) {
+    const std::int64_t sn = supp_nation[i];
+    if (cust_nation[i] != sn || !in_asia[static_cast<std::size_t>(sn)]) {
+      continue;
+    }
+    if (orderdate[i] < lo || orderdate[i] >= hi) continue;
+    by_nation[sn] += price[i] * (1.0 - discount[i]);
   }
   ChargeAggregation(eng, j3.pairs.size(), 36);
 
@@ -220,13 +232,13 @@ Result<QueryOutput> RunQ10(Engine& eng, const TpchData& db) {
 
   CountScan(db.orders, vs, &out.ops);
   CountReplicated(db.orders, vs, &out.ops);
-  DistTable o = Project(eng, db.orders,
-                        {"o_orderkey", "o_custkey", "o_orderdate"});
+  DistTable o = eng.Project(db.orders,
+                            {"o_orderkey", "o_custkey", "o_orderdate"});
 
   CountScan(db.lineitem, vs, &out.ops);
-  DistTable l = Project(eng, db.lineitem,
-                        {"l_orderkey", "l_extendedprice", "l_discount",
-                         "l_returnflag"});
+  DistTable l = eng.Project(db.lineitem,
+                            {"l_orderkey", "l_extendedprice", "l_discount",
+                             "l_returnflag"});
 
   MGJ_ASSIGN_OR_RETURN(Engine::Joined j1,
                        eng.HashJoin(o, "o_orderkey", l, "l_orderkey"));
@@ -237,33 +249,30 @@ Result<QueryOutput> RunQ10(Engine& eng, const TpchData& db) {
 
   CountScan(db.customer, vs, &out.ops);
   CountReplicated(db.customer, vs, &out.ops);
-  DistTable c = Project(eng, db.customer, {"c_custkey", "c_nationkey"});
+  DistTable c = eng.Project(db.customer, {"c_custkey", "c_nationkey"});
 
   MGJ_ASSIGN_OR_RETURN(Engine::Joined j2,
                        eng.HashJoin(c, "c_custkey", ol, "o_custkey"));
   CountJoin(j2, &out.ops);
 
-  const RowLocator lol(ol), lc(c);
+  const Table m = GatherPairs(
+      c, ol, j2.pairs, {"c_custkey"},
+      {"l_returnflag", "o_orderdate", "l_extendedprice", "l_discount"});
+  const auto& custkey = m.col("c_custkey").ints;
+  const auto& returnflag = m.col("l_returnflag").ints;
+  const auto& orderdate = m.col("o_orderdate").ints;
+  const auto& price = m.col("l_extendedprice").doubles;
+  const auto& discount = m.col("l_discount").doubles;
   std::unordered_map<std::int64_t, double> by_customer;
-  for (const auto& [crow, olrow] : j2.pairs) {
-    if (lol.Int("l_returnflag", olrow) != codes::kFlagR) continue;
-    const std::int64_t d = lol.Int("o_orderdate", olrow);
-    if (d < lo || d >= hi) continue;
-    by_customer[lc.Int("c_custkey", crow)] +=
-        lol.Double("l_extendedprice", olrow) *
-        (1.0 - lol.Double("l_discount", olrow));
+  for (std::size_t i = 0; i < m.rows(); ++i) {
+    if (returnflag[i] != codes::kFlagR) continue;
+    if (orderdate[i] < lo || orderdate[i] >= hi) continue;
+    by_customer[custkey[i]] += price[i] * (1.0 - discount[i]);
   }
   ChargeAggregation(eng, j2.pairs.size(), 32);
 
-  std::vector<double> revs;
-  revs.reserve(by_customer.size());
-  for (const auto& [k, v] : by_customer) revs.push_back(v);
-  std::sort(revs.rbegin(), revs.rend());
-  double top = 0;
-  for (std::size_t i = 0; i < revs.size() && i < 20; ++i) top += revs[i];
-
   out.result_rows = std::min<std::uint64_t>(20, by_customer.size());
-  out.value = top;
+  out.value = TopKSum(by_customer, 20);
   out.ops.rows_out = static_cast<double>(by_customer.size()) * vs;
   out.time = eng.elapsed();
   return out;
@@ -279,33 +288,38 @@ Result<QueryOutput> RunQ12(Engine& eng, const TpchData& db) {
   const std::int32_t hi = DateToDays(1995, 1, 1);
 
   CountScan(db.lineitem, vs, &out.ops);
-  DistTable l = Project(eng, db.lineitem,
-                        {"l_orderkey", "l_shipmode", "l_commitdate",
-                         "l_receiptdate", "l_shipdate"});
+  DistTable l = eng.Project(db.lineitem,
+                            {"l_orderkey", "l_shipmode", "l_commitdate",
+                             "l_receiptdate", "l_shipdate"});
 
   CountScan(db.orders, vs, &out.ops);
   CountReplicated(db.orders, vs, &out.ops);
-  DistTable o = Project(eng, db.orders, {"o_orderkey", "o_orderpriority"});
+  DistTable o = eng.Project(db.orders, {"o_orderkey", "o_orderpriority"});
 
   MGJ_ASSIGN_OR_RETURN(Engine::Joined j1,
                        eng.HashJoin(o, "o_orderkey", l, "l_orderkey"));
   CountJoin(j1, &out.ops);
 
-  const RowLocator lo_(o), ll(l);
+  const Table m = GatherPairs(
+      o, l, j1.pairs, {"o_orderpriority"},
+      {"l_shipmode", "l_commitdate", "l_receiptdate", "l_shipdate"});
+  const auto& priority = m.col("o_orderpriority").ints;
+  const auto& shipmode = m.col("l_shipmode").ints;
+  const auto& commitdate = m.col("l_commitdate").ints;
+  const auto& receiptdate = m.col("l_receiptdate").ints;
+  const auto& shipdate = m.col("l_shipdate").ints;
   // mode -> (high count, low count).
   std::map<std::int64_t, std::pair<std::uint64_t, std::uint64_t>> counts;
-  for (const auto& [orow, lrow] : j1.pairs) {
-    const std::int64_t mode = ll.Int("l_shipmode", lrow);
+  for (std::size_t i = 0; i < m.rows(); ++i) {
+    const std::int64_t mode = shipmode[i];
     if (mode != codes::kModeMail && mode != codes::kModeShip) continue;
-    const auto commit = ll.Int("l_commitdate", lrow);
-    const auto receipt = ll.Int("l_receiptdate", lrow);
-    const auto ship = ll.Int("l_shipdate", lrow);
-    if (!(commit < receipt && ship < commit && receipt >= lo &&
+    const std::int64_t commit = commitdate[i];
+    const std::int64_t receipt = receiptdate[i];
+    if (!(commit < receipt && shipdate[i] < commit && receipt >= lo &&
           receipt < hi)) {
       continue;
     }
-    const std::int64_t prio = lo_.Int("o_orderpriority", orow);
-    if (prio <= 1) {  // 1-URGENT, 2-HIGH
+    if (priority[i] <= 1) {  // 1-URGENT, 2-HIGH
       ++counts[mode].first;
     } else {
       ++counts[mode].second;
@@ -334,27 +348,31 @@ Result<QueryOutput> RunQ14(Engine& eng, const TpchData& db) {
   const std::int32_t hi = DateToDays(1995, 10, 1);
 
   CountScan(db.lineitem, vs, &out.ops);
-  DistTable l = Project(eng, db.lineitem,
-                        {"l_partkey", "l_extendedprice", "l_discount",
-                         "l_shipdate"});
+  DistTable l = eng.Project(db.lineitem,
+                            {"l_partkey", "l_extendedprice", "l_discount",
+                             "l_shipdate"});
 
   CountScan(db.part, vs, &out.ops);
   CountReplicated(db.part, vs, &out.ops);
-  DistTable p = Project(eng, db.part, {"p_partkey", "p_type"});
+  DistTable p = eng.Project(db.part, {"p_partkey", "p_type"});
 
   MGJ_ASSIGN_OR_RETURN(Engine::Joined j1,
                        eng.HashJoin(p, "p_partkey", l, "l_partkey"));
   CountJoin(j1, &out.ops);
 
-  const RowLocator lp(p), ll(l);
+  const Table m =
+      GatherPairs(p, l, j1.pairs, {"p_type"},
+                  {"l_shipdate", "l_extendedprice", "l_discount"});
+  const auto& type = m.col("p_type").ints;
+  const auto& shipdate = m.col("l_shipdate").ints;
+  const auto& price = m.col("l_extendedprice").doubles;
+  const auto& discount = m.col("l_discount").doubles;
   double promo = 0, total = 0;
-  for (const auto& [prow, lrow] : j1.pairs) {
-    const auto d = ll.Int("l_shipdate", lrow);
-    if (d < lo || d >= hi) continue;
-    const double rev = ll.Double("l_extendedprice", lrow) *
-                       (1.0 - ll.Double("l_discount", lrow));
+  for (std::size_t i = 0; i < m.rows(); ++i) {
+    if (shipdate[i] < lo || shipdate[i] >= hi) continue;
+    const double rev = price[i] * (1.0 - discount[i]);
     total += rev;
-    if (lp.Int("p_type", prow) < codes::kNumPromoTypes) promo += rev;
+    if (type[i] < codes::kNumPromoTypes) promo += rev;
   }
   ChargeAggregation(eng, j1.pairs.size(), 24);
 
@@ -373,14 +391,14 @@ Result<QueryOutput> RunQ19(Engine& eng, const TpchData& db) {
   const double vs = VirtualScale(eng);
 
   CountScan(db.lineitem, vs, &out.ops);
-  DistTable l = Project(eng, db.lineitem,
-                        {"l_partkey", "l_quantity", "l_extendedprice",
-                         "l_discount", "l_shipmode", "l_shipinstruct"});
+  DistTable l = eng.Project(db.lineitem,
+                            {"l_partkey", "l_quantity", "l_extendedprice",
+                             "l_discount", "l_shipmode", "l_shipinstruct"});
 
   CountScan(db.part, vs, &out.ops);
   CountReplicated(db.part, vs, &out.ops);
-  DistTable p = Project(eng, db.part,
-                        {"p_partkey", "p_brand", "p_size", "p_container"});
+  DistTable p = eng.Project(db.part,
+                            {"p_partkey", "p_brand", "p_size", "p_container"});
 
   MGJ_ASSIGN_OR_RETURN(Engine::Joined j1,
                        eng.HashJoin(p, "p_partkey", l, "l_partkey"));
@@ -399,19 +417,28 @@ Result<QueryOutput> RunQ19(Engine& eng, const TpchData& db) {
            c == codes::kContLgPack || c == codes::kContLgPkg;
   };
 
-  const RowLocator lp(p), ll(l);
+  const Table m = GatherPairs(
+      p, l, j1.pairs, {"p_brand", "p_size", "p_container"},
+      {"l_shipmode", "l_shipinstruct", "l_quantity", "l_extendedprice",
+       "l_discount"});
+  const auto& brands = m.col("p_brand").ints;
+  const auto& sizes = m.col("p_size").ints;
+  const auto& containers = m.col("p_container").ints;
+  const auto& shipmode = m.col("l_shipmode").ints;
+  const auto& shipinstruct = m.col("l_shipinstruct").ints;
+  const auto& quantity = m.col("l_quantity").doubles;
+  const auto& price = m.col("l_extendedprice").doubles;
+  const auto& discount = m.col("l_discount").doubles;
   double revenue = 0;
   std::uint64_t qualified = 0;
-  for (const auto& [prow, lrow] : j1.pairs) {
-    const std::int64_t mode = ll.Int("l_shipmode", lrow);
+  for (std::size_t i = 0; i < m.rows(); ++i) {
+    const std::int64_t mode = shipmode[i];
     if (mode != codes::kModeAir && mode != codes::kModeAirReg) continue;
-    if (ll.Int("l_shipinstruct", lrow) != codes::kInstrDeliverInPerson) {
-      continue;
-    }
-    const std::int64_t brand = lp.Int("p_brand", prow);
-    const std::int64_t size = lp.Int("p_size", prow);
-    const std::int64_t cont = lp.Int("p_container", prow);
-    const double qty = ll.Double("l_quantity", lrow);
+    if (shipinstruct[i] != codes::kInstrDeliverInPerson) continue;
+    const std::int64_t brand = brands[i];
+    const std::int64_t size = sizes[i];
+    const std::int64_t cont = containers[i];
+    const double qty = quantity[i];
     const bool c1 = brand == codes::BrandCode(1, 2) && in_sm(cont) &&
                     qty >= 1 && qty <= 11 && size >= 1 && size <= 5;
     const bool c2 = brand == codes::BrandCode(2, 3) && in_med(cont) &&
@@ -420,8 +447,7 @@ Result<QueryOutput> RunQ19(Engine& eng, const TpchData& db) {
                     qty >= 20 && qty <= 30 && size >= 1 && size <= 15;
     if (!(c1 || c2 || c3)) continue;
     ++qualified;
-    revenue += ll.Double("l_extendedprice", lrow) *
-               (1.0 - ll.Double("l_discount", lrow));
+    revenue += price[i] * (1.0 - discount[i]);
   }
   ChargeAggregation(eng, j1.pairs.size(), 32);
 

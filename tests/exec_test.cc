@@ -1,7 +1,12 @@
-// Tests for the mini relational engine: tables, filters, joins,
-// materialization and the simulated query clock.
+// Tests for the mini relational engine: tables, projections, joins,
+// pair gathers, materialization and the simulated query clock.
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "exec/engine.h"
 #include "exec/table.h"
@@ -47,16 +52,50 @@ TEST(TableTest, DateConversion) {
   EXPECT_LT(DateToDays(1994, 12, 31), DateToDays(1995, 1, 1));
 }
 
-TEST(TableTest, RowLocator) {
-  DistTable t = MakeKv(3, {10, 11, 12, 13, 14, 15, 16}, {0, 1, 2, 3, 4, 5, 6});
-  RowLocator loc(t);
-  // Rows are round-robin: shard0={10,13,16}, shard1={11,14}, ...
-  // Global ids stack shards in order.
-  EXPECT_EQ(loc.Int("k", 0), 10);
-  EXPECT_EQ(loc.Int("k", 1), 13);
-  EXPECT_EQ(loc.Int("k", 2), 16);
-  EXPECT_EQ(loc.Int("k", 3), 11);
-  EXPECT_EQ(loc.Int("k", 6), 15);
+// A table with one int and one double column whose values encode the
+// global row id: `int_name` = base + row, `double_name` = row + 0.5.
+DistTable MakeStacked(const std::vector<int>& shard_rows,
+                      const std::string& int_name,
+                      const std::string& double_name, std::int64_t base) {
+  DistTable t;
+  t.shards.resize(shard_rows.size());
+  std::int64_t row = 0;
+  for (std::size_t s = 0; s < shard_rows.size(); ++s) {
+    Table& shard = t.shards[s];
+    shard.AddColumn(int_name, ColType::kInt64);
+    shard.AddColumn(double_name, ColType::kDouble);
+    for (int i = 0; i < shard_rows[s]; ++i, ++row) {
+      shard.col(int_name).ints.push_back(base + row);
+      shard.col(double_name).doubles.push_back(static_cast<double>(row) + 0.5);
+    }
+  }
+  return t;
+}
+
+TEST(TableTest, GatherPairsKeepsPairOrderAcrossUnevenShards) {
+  // Left global rows: shard0 = 0..2, shard1 empty, shard2 = 3,
+  // shard3 = 4..5. Right: shard0 empty, shard1 = 0..2.
+  const DistTable left = MakeStacked({3, 0, 1, 2}, "l", "lx", 100);
+  const DistTable right = MakeStacked({0, 3}, "r", "rx", 200);
+  const std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs = {
+      {5, 0}, {0, 2}, {3, 1}, {3, 0}, {2, 2}, {4, 1}};
+  const Table out = GatherPairs(left, right, pairs, {"l", "lx"}, {"rx", "r"});
+  EXPECT_EQ(out.column_names(),
+            (std::vector<std::string>{"l", "lx", "rx", "r"}));
+  EXPECT_EQ(out.col("lx").type, ColType::kDouble);
+  EXPECT_EQ(out.col("r").type, ColType::kInt64);
+  ASSERT_EQ(out.rows(), pairs.size());
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    const auto [lrow, rrow] = pairs[i];
+    EXPECT_EQ(out.col("l").ints[i], 100 + lrow) << i;
+    EXPECT_EQ(out.col("lx").doubles[i], lrow + 0.5) << i;
+    EXPECT_EQ(out.col("r").ints[i], 200 + rrow) << i;
+    EXPECT_EQ(out.col("rx").doubles[i], rrow + 0.5) << i;
+  }
+  // One side may contribute no columns.
+  const Table right_only = GatherPairs(left, right, pairs, {}, {"r"});
+  EXPECT_EQ(right_only.column_names(), std::vector<std::string>{"r"});
+  EXPECT_EQ(right_only.col("r").ints[0], 200);
 }
 
 class EngineTest : public ::testing::Test {
@@ -68,27 +107,35 @@ class EngineTest : public ::testing::Test {
   std::unique_ptr<topo::Topology> topo_;
 };
 
-TEST_F(EngineTest, FilterKeepsMatchingRows) {
+TEST_F(EngineTest, ProjectKeepsColumnsAndChargesTheirScan) {
   Engine eng = MakeEngine(2);
-  DistTable t = MakeKv(2, {1, 2, 3, 4, 5, 6}, {10, 20, 30, 40, 50, 60});
-  DistTable out = eng.Filter(
-      t, {"k"},
-      [](const Table& s, std::uint64_t i) { return s.col("k").ints[i] > 3; },
-      {"k", "v"});
-  EXPECT_EQ(out.rows(), 3u);
+  // Shard 0 holds 4 rows, shard 1 holds 3.
+  DistTable t = MakeKv(2, {1, 2, 3, 4, 5, 6, 7}, {10, 20, 30, 40, 50, 60, 70});
+  DistTable out = eng.Project(t, {"k"});
+  ASSERT_EQ(out.num_shards(), 2);
+  for (int s = 0; s < 2; ++s) {
+    EXPECT_EQ(out.shards[s].column_names(), std::vector<std::string>{"k"});
+    EXPECT_EQ(out.shards[s].col("k").type, ColType::kInt32);
+    EXPECT_EQ(out.shards[s].col("k").ints, t.shards[s].col("k").ints);
+  }
+  // Exactly one scan of the kept 4-byte column per shard.
+  Engine ref = MakeEngine(2);
+  ref.ChargeScan({4 * 4, 3 * 4});
+  EXPECT_EQ(eng.elapsed(), ref.elapsed());
   EXPECT_GT(eng.elapsed(), 0u);
 }
 
 TEST_F(EngineTest, HashJoinFindsAllMatches) {
   Engine eng = MakeEngine(4);
   DistTable l = MakeKv(4, {1, 2, 3, 4, 5, 6, 7, 8}, {0, 0, 0, 0, 0, 0, 0, 0});
-  DistTable r = MakeKv(4, {2, 4, 6, 8, 10}, {0, 0, 0, 0, 0});
+  DistTable r = MakeKv(4, {2, 4, 6, 8, 10}, {2, 4, 6, 8, 10});
   auto j = eng.HashJoin(l, "k", r, "k");
   ASSERT_TRUE(j.ok()) << j.status().ToString();
   EXPECT_EQ(j.value().pairs.size(), 4u);  // keys 2,4,6,8
-  RowLocator ll(l), lr(r);
-  for (const auto& [a, b] : j.value().pairs) {
-    EXPECT_EQ(ll.Int("k", a), lr.Int("k", b));
+  const Table m = GatherPairs(l, r, j.value().pairs, {"k"}, {"v"});
+  EXPECT_EQ(m.rows(), 4u);
+  for (std::uint64_t i = 0; i < m.rows(); ++i) {
+    EXPECT_EQ(m.col("k").ints[i], m.col("v").ints[i]);  // right v == k
   }
 }
 
@@ -108,6 +155,16 @@ TEST_F(EngineTest, HashJoinRejectsNegativeKeys) {
   EXPECT_FALSE(eng.HashJoin(l, "k", r, "k").ok());
 }
 
+TEST_F(EngineTest, HashJoinRejectsOutOfRangeRightKeys) {
+  Engine eng = MakeEngine(2);
+  DistTable l = MakeKv(2, {1, 2}, {0, 0});
+  DistTable r = MakeKv(2, {2, std::int64_t{1} << 32}, {0, 0});
+  EXPECT_FALSE(eng.HashJoin(l, "k", r, "k").ok());
+  // The largest 32-bit key is still accepted.
+  DistTable edge = MakeKv(2, {2, 0xFFFFFFFFll}, {0, 0});
+  EXPECT_TRUE(eng.HashJoin(l, "k", edge, "k").ok());
+}
+
 TEST_F(EngineTest, MaterializeJoinGathersBothSides) {
   Engine eng = MakeEngine(2);
   DistTable l = MakeKv(2, {1, 2, 3}, {10, 20, 30});
@@ -117,9 +174,48 @@ TEST_F(EngineTest, MaterializeJoinGathersBothSides) {
   DistTable out = eng.MaterializeJoin(l, r, j.value().pairs, {"v"}, {"k"});
   EXPECT_EQ(out.rows(), 3u);
   // v (left) must be 10x the joined key.
-  RowLocator lo(out);
-  for (std::uint64_t i = 0; i < out.rows(); ++i) {
-    EXPECT_EQ(lo.Int("v", i), 10 * lo.Int("k", i));
+  for (const Table& shard : out.shards) {
+    for (std::uint64_t i = 0; i < shard.rows(); ++i) {
+      EXPECT_EQ(shard.col("v").ints[i], 10 * shard.col("k").ints[i]);
+    }
+  }
+}
+
+TEST_F(EngineTest, MaterializeJoinPlacesRowIOnShardIModG) {
+  constexpr int kGpus = 3;
+  Engine eng = MakeEngine(kGpus);
+  const DistTable left = MakeStacked({2, 0, 3}, "l", "lx", 100);
+  const DistTable right = MakeStacked({1, 1, 2}, "r", "rx", 200);
+  const std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs = {
+      {4, 0}, {0, 3}, {2, 1}, {1, 2}, {3, 3}, {0, 0}, {4, 2}};
+  DistTable out = eng.MaterializeJoin(left, right, pairs, {"l"}, {"rx"});
+  ASSERT_EQ(out.num_shards(), kGpus);
+  EXPECT_EQ(out.rows(), pairs.size());
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    const Table& shard = out.shards[i % kGpus];
+    const std::size_t row = i / kGpus;
+    EXPECT_EQ(shard.col("l").ints[row], 100 + pairs[i].first) << i;
+    EXPECT_EQ(shard.col("rx").doubles[row], pairs[i].second + 0.5) << i;
+  }
+  // Charged as one gather of (8 + 8) bytes per pair, spread evenly.
+  Engine ref = MakeEngine(kGpus);
+  ref.ChargeGather(std::vector<std::uint64_t>(kGpus, 7 * 16 / kGpus));
+  EXPECT_EQ(eng.elapsed(), ref.elapsed());
+}
+
+TEST_F(EngineTest, MaterializeJoinOfNoPairsKeepsColumnTypes) {
+  Engine eng = MakeEngine(2);
+  const DistTable left = MakeStacked({1, 1}, "l", "lx", 0);
+  const DistTable right = MakeKv(2, {1, 2}, {0, 0});
+  DistTable out = eng.MaterializeJoin(left, right, {}, {"lx", "l"}, {"k"});
+  ASSERT_EQ(out.num_shards(), 2);
+  EXPECT_EQ(out.rows(), 0u);
+  for (const Table& shard : out.shards) {
+    EXPECT_EQ(shard.column_names(),
+              (std::vector<std::string>{"lx", "l", "k"}));
+    EXPECT_EQ(shard.col("lx").type, ColType::kDouble);
+    EXPECT_EQ(shard.col("l").type, ColType::kInt64);
+    EXPECT_EQ(shard.col("k").type, ColType::kInt32);
   }
 }
 
