@@ -173,13 +173,42 @@ void BM_SimulatorEventThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorEventThroughput);
 
+// Batched Zipf draws over host_skew8's key domain (8M values, z = 1):
+// the cdf table is 64 MB, so the draws' cache misses dominate.
 void BM_ZipfGeneration(benchmark::State& state) {
-  ZipfGenerator zipf(1 << 20, 1.0);
+  const ZipfGenerator zipf(static_cast<std::uint64_t>(state.range(0)), 1.0);
+  std::vector<std::uint32_t> out(1 << 16);
+  std::uint64_t first = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(zipf.Next());
+    zipf.ValuesAt(first, out.size(), out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+    first += out.size();
   }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(out.size()));
 }
-BENCHMARK(BM_ZipfGeneration);
+BENCHMARK(BM_ZipfGeneration)->Arg(1 << 23);
+
+// The whole workload generator in host_skew8's shape: 8 GPUs, placement
+// zipf 0.5, key zipf 1.0. Arg 0 = tuples per relation (8M is
+// host_skew8's size).
+void BM_MakeJoinInput(benchmark::State& state) {
+  data::GenOptions opts;
+  opts.tuples_per_relation = static_cast<std::uint64_t>(state.range(0));
+  opts.num_gpus = 8;
+  opts.placement_zipf = 0.5;
+  opts.key_zipf = 1.0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(data::MakeJoinInput(opts));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0) * 2);
+}
+BENCHMARK(BM_MakeJoinInput)
+    ->Arg(1 << 20)
+    ->Arg(1 << 23)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // Metrics touch cost: the per-packet hot path resolves its counters
 // once at setup (CounterHandle) instead of walking the registry's

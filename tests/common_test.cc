@@ -3,10 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <iterator>
 #include <map>
+#include <numeric>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -126,7 +129,7 @@ TEST(ZipfTest, ZeroSkewIsRoughlyUniform) {
   ZipfGenerator gen(10, 0.0, 99);
   std::map<std::uint64_t, int> counts;
   const int n = 100000;
-  for (int i = 0; i < n; ++i) ++counts[gen.Next()];
+  for (int i = 0; i < n; ++i) ++counts[gen.ValueAt(i)];
   for (const auto& [v, c] : counts) {
     EXPECT_NEAR(static_cast<double>(c) / n, 0.1, 0.02) << "value " << v;
   }
@@ -134,81 +137,74 @@ TEST(ZipfTest, ZeroSkewIsRoughlyUniform) {
 
 TEST(ZipfTest, HighSkewConcentratesOnHead) {
   ZipfGenerator gen(1000, 1.0, 99);
-  int head = 0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) {
-    if (gen.Next() < 10) ++head;
-  }
+  const std::size_t n = 100000;
+  std::vector<std::uint32_t> draws(n);
+  gen.ValuesAt(0, n, draws.data());
+  const auto head = std::count_if(draws.begin(), draws.end(),
+                                  [](std::uint32_t v) { return v < 10; });
   // With z=1 over 1000 values, the top 10 values carry ~39% of the mass.
-  EXPECT_GT(head, n / 3);
+  EXPECT_GT(head, static_cast<std::ptrdiff_t>(n / 3));
 }
 
 TEST(ZipfTest, ValuesInRange) {
   ZipfGenerator gen(37, 0.75, 1);
-  for (int i = 0; i < 10000; ++i) EXPECT_LT(gen.Next(), 37u);
+  std::vector<std::uint32_t> draws(10000);
+  gen.ValuesAt(5, draws.size(), draws.data());
+  for (const std::uint32_t v : draws) EXPECT_LT(v, 37u);
 }
 
-TEST(ZipfTest, SingleValueDomainIsConstantOnBothStreams) {
-  // n=1 leaves no randomness at all: the sequential and the
-  // counter-based stream must both pin every draw to 0, at any skew.
+TEST(ZipfTest, SingleValueDomainIsConstant) {
+  // n=1 leaves no randomness at all: every draw is 0, at any skew.
   for (const double z : {0.0, 1.0, 6.0}) {
     ZipfGenerator gen(1, z, 123);
-    for (std::uint64_t i = 0; i < 100; ++i) {
-      EXPECT_EQ(gen.Next(), 0u) << "z=" << z;
+    std::vector<std::uint32_t> draws(100, 7);
+    gen.ValuesAt(0, draws.size(), draws.data());
+    for (std::uint64_t i = 0; i < draws.size(); ++i) {
       EXPECT_EQ(gen.ValueAt(i), 0u) << "z=" << z;
+      EXPECT_EQ(draws[i], 0u) << "z=" << z;
     }
   }
 }
 
-TEST(ZipfTest, ZeroSkewValueAtIsRoughlyUniform) {
-  // The counter-based stream must degenerate to uniform at z=0 just
-  // like Next() does (same CDF, different stream).
-  ZipfGenerator gen(10, 0.0, 99);
-  std::map<std::uint64_t, int> counts;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) ++counts[gen.ValueAt(i)];
-  for (const auto& [v, c] : counts) {
-    EXPECT_NEAR(static_cast<double>(c) / n, 0.1, 0.02) << "value " << v;
-  }
-}
-
 TEST(ZipfTest, VeryLargeSkewIsNearlyDegenerate) {
-  // At z > 4 the distribution is almost all rank 0; both streams must
-  // agree on that without overflowing the CDF normalization.
+  // At z > 4 the distribution is almost all rank 0, without overflowing
+  // the CDF normalization.
   ZipfGenerator gen(1000, 6.0, 31);
   const int n = 20000;
-  int next_head = 0, value_at_head = 0;
+  int head = 0;
   for (int i = 0; i < n; ++i) {
-    if (gen.Next() == 0) ++next_head;
-    if (gen.ValueAt(static_cast<std::uint64_t>(i)) == 0) ++value_at_head;
+    if (gen.ValueAt(static_cast<std::uint64_t>(i)) == 0) ++head;
   }
-  EXPECT_GT(next_head, n * 95 / 100);
-  EXPECT_GT(value_at_head, n * 95 / 100);
+  EXPECT_GT(head, n * 95 / 100);
   for (std::uint64_t i = 0; i < 2000; ++i) {
     EXPECT_LT(gen.ValueAt(i), 1000u);
   }
 }
 
-TEST(ZipfTest, StreamsShareTheCdfButNotTheSequence) {
-  // Next() and ValueAt() are documented as *distinct* streams over the
-  // same distribution: at the uniform and heavy-skew extremes their
-  // per-value frequencies must track each other closely, while the
-  // sequences themselves are allowed (and expected) to differ.
-  for (const double z : {0.0, 4.5}) {
-    ZipfGenerator seq(50, z, 77);
-    ZipfGenerator ctr(50, z, 77);
-    const int n = 200000;
-    std::map<std::uint64_t, int> seq_counts, ctr_counts;
-    for (int i = 0; i < n; ++i) {
-      ++seq_counts[seq.Next()];
-      ++ctr_counts[ctr.ValueAt(static_cast<std::uint64_t>(i))];
-    }
-    for (std::uint64_t v = 0; v < 50; ++v) {
-      EXPECT_NEAR(static_cast<double>(seq_counts[v]) / n,
-                  static_cast<double>(ctr_counts[v]) / n, 0.015)
-          << "z=" << z << " value " << v;
+TEST(ZipfTest, ValuesAtMatchesValueAt) {
+  // The batched draws are a pipeline over the same search: equal to
+  // ValueAt at unaligned starts, for batches shorter than the pipeline,
+  // and for a domain small enough to have a single guide bucket.
+  for (const std::uint64_t n : {1ull, 10ull, 1000ull, 100003ull}) {
+    for (const double z : {0.0, 1.0, 6.0}) {
+      const ZipfGenerator gen(n, z, /*seed=*/n + 5);
+      for (const std::uint64_t first : {0ull, 1ull, 33ull, 1000003ull}) {
+        for (const std::size_t count : {0, 1, 5, 31, 32, 33, 1000}) {
+          std::vector<std::uint32_t> draws(count);
+          gen.ValuesAt(first, count, draws.data());
+          for (std::size_t j = 0; j < count; ++j) {
+            ASSERT_EQ(draws[j], gen.ValueAt(first + j))
+                << "n=" << n << " z=" << z << " first=" << first
+                << " j=" << j;
+          }
+        }
+      }
     }
   }
+}
+
+TEST(ZipfDeathTest, EmptyDomainDies) {
+  EXPECT_DEATH(ZipfGenerator(0, 1.0), "at least one value");
 }
 
 TEST(BitUtilTest, Log2Ceil) {
@@ -426,6 +422,33 @@ TEST(IndexPermutationTest, IsBijectionOnRange) {
       ASSERT_LT(v, n);
       ASSERT_FALSE(seen[v]) << "duplicate image at n=" << n;
       seen[v] = true;
+    }
+  }
+}
+
+TEST(IndexPermutationTest, ApplyInPlaceMatchesApply) {
+  // Batches of any length, including empty ones and lengths that are not
+  // a multiple of the internal batch, must equal Apply entry by entry,
+  // on sequential and on scattered inputs.
+  const std::size_t kChunks[] = {0, 1, 3, 255, 256, 257, 1000};
+  for (const std::uint64_t n : {1ull, 2ull, 3ull, 4ull, 5ull, 255ull, 256ull,
+                                257ull, (1ull << 16) + 1}) {
+    const IndexPermutation perm(n, /*seed=*/n * 7 + 1);
+    std::vector<std::uint32_t> v(n);
+    std::iota(v.begin(), v.end(), 0u);
+    std::size_t done = 0;
+    for (std::size_t c = 0; done < n; ++c) {
+      const std::size_t count =
+          std::min<std::size_t>(kChunks[c % std::size(kChunks)], n - done);
+      perm.ApplyInPlace(v.data() + done, count);
+      done += count;
+    }
+    for (std::uint64_t i = 0; i < n; ++i) {
+      ASSERT_EQ(v[i], perm.Apply(i)) << "n=" << n << " i=" << i;
+    }
+    perm.ApplyInPlace(v.data(), v.size());
+    for (std::uint64_t i = 0; i < n; ++i) {
+      ASSERT_EQ(v[i], perm.Apply(perm.Apply(i))) << "n=" << n << " i=" << i;
     }
   }
 }
