@@ -545,6 +545,129 @@ TEST(MgJoinTest, ExecuteIsPrepareThenSimulate) {
   }
 }
 
+// FNV-1a over every field of a PreparedJoin: the flows with their ids,
+// endpoints and bytes, the kernel-model times, the functional result
+// and the byte counts.
+std::uint64_t DigestPrepared(const PreparedJoin& p) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t v) { h = (h ^ v) * 0x100000001b3ull; };
+  const auto mix_all = [&mix](const auto& values) {
+    mix(values.size());
+    for (const auto v : values) mix(static_cast<std::uint64_t>(v));
+  };
+  mix_all(p.dense);
+  mix(p.overlap);
+  mix(p.flows.size());
+  for (const net::Flow& f : p.flows) {
+    mix(f.id);
+    mix(static_cast<std::uint64_t>(f.src_gpu));
+    mix(static_cast<std::uint64_t>(f.dst_gpu));
+    mix(f.bytes);
+  }
+  mix(p.payload_bytes);
+  mix(p.hist_end);
+  mix_all(p.gp_time);
+  mix_all(p.lp_time);
+  mix_all(p.probe_time);
+  mix_all(p.recv_tuples);
+  mix(p.residual);
+  mix(p.matches);
+  mix(p.checksum);
+  mix(p.pairs.size());
+  for (const auto& [r_id, s_id] : p.pairs) {
+    mix(r_id);
+    mix(s_id);
+  }
+  mix(p.input_tuples);
+  mix(p.virtual_input_tuples);
+  mix(p.shuffled_bytes);
+  mix(p.uncompressed_bytes);
+  return h;
+}
+
+TEST(MgJoinTest, PrepareMatchesPinnedHashes) {
+  // Everything Prepare hands the timing layer is part of the contract:
+  // the simulated results and the committed bench baselines depend on
+  // the exact flows, kernel times and results. The hashes were taken
+  // before the shuffle's counters and offsets were narrowed to 32 bits.
+  struct Pinned {
+    int gpus;
+    std::uint64_t tuples_per_gpu;
+    double key_zipf;
+    double placement_zipf;
+    bool compression;
+    double virtual_scale;
+    bool pairs;
+    std::uint64_t hash;
+  };
+  const Pinned kPinned[] = {
+      {8, 8192, 0.0, 0.0, true, 1, false, 0xd91774301fabae2cull},
+      {8, 8192, 0.0, 0.0, true, 256, false, 0x73cd41c427e6cc3bull},
+      {8, 8192, 0.0, 0.0, false, 1, false, 0x16eb236806011511ull},
+      {8, 8192, 0.0, 0.0, false, 256, false, 0x441260d3f534ac3bull},
+      {8, 8192, 0.0, 0.5, true, 1, false, 0x8be93cccebd5b170ull},
+      {8, 8192, 0.0, 0.5, true, 256, false, 0x3d65fbc1826f79dbull},
+      {8, 8192, 0.0, 0.5, false, 1, false, 0xba7aa7060294b1a1ull},
+      {8, 8192, 0.0, 0.5, false, 256, false, 0xeae25cbf48f695dbull},
+      {8, 8192, 1.0, 0.0, true, 1, false, 0xb846e03cd888bfb6ull},
+      {8, 8192, 1.0, 0.0, true, 256, false, 0xec6b7edacb264522ull},
+      {8, 8192, 1.0, 0.0, false, 1, false, 0x971a4478a036853full},
+      {8, 8192, 1.0, 0.0, false, 256, false, 0x81cdf66b8941a222ull},
+      {8, 8192, 1.0, 0.5, true, 1, false, 0xe4abaf9b1888d5aull},
+      {8, 8192, 1.0, 0.5, true, 256, false, 0x3f94abf8996a1354ull},
+      {8, 8192, 1.0, 0.5, false, 1, false, 0xa3740c4b0dae8ccfull},
+      {8, 8192, 1.0, 0.5, false, 256, false, 0xf563ce6198c67254ull},
+      {8, 65536, 0.0, 0.0, true, 1, false, 0xa0eae70ff35a75c0ull},
+      {8, 65536, 0.0, 0.0, true, 256, false, 0x2dbeb1ce67e86c7ull},
+      {8, 65536, 0.0, 0.0, false, 1, false, 0xea04c0eeac46949ull},
+      {8, 65536, 0.0, 0.0, false, 256, false, 0xa8f8f1cc6afaac7ull},
+      {8, 65536, 0.0, 0.5, true, 1, false, 0x85ca62fab0400b9aull},
+      {8, 65536, 0.0, 0.5, true, 256, false, 0x7f61f66989ced065ull},
+      {8, 65536, 0.0, 0.5, false, 1, false, 0xcbebc56f99e0da9ull},
+      {8, 65536, 0.0, 0.5, false, 256, false, 0xa2b4367a59a56e65ull},
+      {8, 65536, 1.0, 0.0, true, 1, false, 0xca15e6c0bd9c5fe3ull},
+      {8, 65536, 1.0, 0.0, true, 256, false, 0x62171119dd225becull},
+      {8, 65536, 1.0, 0.0, false, 1, false, 0xfa1357eddd2bdab7ull},
+      {8, 65536, 1.0, 0.0, false, 256, false, 0x3459d162684034ecull},
+      {8, 65536, 1.0, 0.5, true, 1, false, 0x30094d0ccd1a0e2full},
+      {8, 65536, 1.0, 0.5, true, 256, false, 0xc33f468c0cae0179ull},
+      {8, 65536, 1.0, 0.5, false, 1, false, 0xdde2c82f2b411249ull},
+      {8, 65536, 1.0, 0.5, false, 256, false, 0x6100b4e10fdd5a79ull},
+      {2, 8192, 0.5, 0.0, true, 1, false, 0x64d2feff3e2ea851ull},
+      {8, 8192, 1.0, 0.5, true, 256, true, 0x18aceb3bd16c5dbbull},
+  };
+  auto topo = topo::MakeDgx1V();
+  GenOptions last_gen;
+  std::pair<data::DistRelation, data::DistRelation> input;
+  for (const Pinned& c : kPinned) {
+    GenOptions gen;
+    gen.tuples_per_relation = c.tuples_per_gpu * c.gpus;
+    gen.num_gpus = c.gpus;
+    gen.key_zipf = c.key_zipf;
+    gen.placement_zipf = c.placement_zipf;
+    if (input.first.shards.empty() || !(gen == last_gen)) {
+      input = MakeJoinInput(gen);
+      last_gen = gen;
+    }
+    MgJoinOptions opts;
+    opts.use_compression = c.compression;
+    opts.virtual_scale = c.virtual_scale;
+    opts.materialize_pairs = c.pairs;
+    const PreparedJoin p =
+        MgJoin(topo.get(), topo::FirstNGpus(c.gpus), opts)
+            .Prepare(input.first, input.second)
+            .ValueOrDie();
+    EXPECT_EQ(p.pairs.size(), c.pairs ? p.matches : 0);
+    EXPECT_EQ(DigestPrepared(p), c.hash)
+        << "gpus=" << c.gpus << " tuples/gpu=" << c.tuples_per_gpu
+        << " key_zipf=" << c.key_zipf
+        << " placement_zipf=" << c.placement_zipf
+        << " compression=" << c.compression
+        << " virtual_scale=" << c.virtual_scale << " pairs=" << c.pairs
+        << " got 0x" << std::hex << DigestPrepared(p);
+  }
+}
+
 TEST(MgJoinTest, UmjMatchesReference) {
   auto topo = topo::MakeDgx1V();
   GenOptions opts;
