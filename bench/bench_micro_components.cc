@@ -35,6 +35,7 @@
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
 #include "sim/simulator.h"
+#include "svc/service.h"
 #include "topo/presets.h"
 
 namespace mgjoin {
@@ -209,6 +210,38 @@ BENCHMARK(BM_MakeJoinInput)
     ->Arg(1 << 23)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+// One QueryScheduler::Run in serve_mixed's shape: 128 queries over 16
+// distinct datasets of 8,192 tuples per GPU (a quarter key-skewed),
+// virtual scale 256, 8 in flight under fair-share arbitration, solo
+// runs on. Each Run generates and prepares every dataset, one dataset
+// per host thread, then simulates the shared fabric.
+void BM_QuerySchedulerRun(benchmark::State& state) {
+  auto topo = topo::MakeDgx1V();
+  svc::ServiceOptions opts;
+  opts.join.virtual_scale = 256;
+  opts.inflight_limit = 8;
+  opts.arbitration = net::ArbitrationKind::kFairShare;
+  const svc::QueryScheduler sched(topo.get(), topo::FirstNGpus(8), opts);
+  std::vector<svc::QuerySpec> queries(128);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const std::size_t d = i % 16;
+    svc::QuerySpec& q = queries[i];
+    q.query_id = i + 1;
+    q.gen.tuples_per_relation = 8192 * 8;
+    q.gen.key_zipf = d % 4 == 3 ? 1.0 : 0.0;
+    q.gen.seed = 1 + d;
+    q.priority = static_cast<int>(i % 3);
+    // 440 queries per simulated second, as in serve_mixed.
+    q.submit_at = sim::FromSeconds(static_cast<double>(i) / 440.0);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sched.Run(queries).ValueOrDie());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(queries.size()));
+}
+BENCHMARK(BM_QuerySchedulerRun)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Metrics touch cost: the per-packet hot path resolves its counters
 // once at setup (CounterHandle) instead of walking the registry's

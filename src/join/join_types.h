@@ -79,7 +79,7 @@ struct PartitionedTuples {
     offsets.push_back(0);
     for (const auto& part : parts) {
       tuples.insert(tuples.end(), part.begin(), part.end());
-      offsets.push_back(tuples.size());
+      offsets.push_back(static_cast<std::uint32_t>(tuples.size()));
     }
   }
 
@@ -91,7 +91,8 @@ struct PartitionedTuples {
   }
 
   std::vector<data::Tuple> tuples;
-  std::vector<std::size_t> offsets;  ///< size() + 1 entries
+  /// size() + 1 entries; a buffer holds fewer than 2^32 tuples.
+  std::vector<std::uint32_t> offsets;
 };
 
 /// Accumulates the order-independent match checksum.

@@ -83,7 +83,7 @@ void JoinCoPartition(TupleSpan r, TupleSpan s, bool materialize,
 template <typename BucketOf>
 void ScatterByBucket(TupleSpan in, std::uint32_t fanout, BucketOf bucket_of,
                      PartitionedTuples* out) {
-  std::vector<std::size_t>& off = out->offsets;
+  std::vector<std::uint32_t>& off = out->offsets;
   off.assign(fanout + 1, 0);
   for (const data::Tuple& t : in) ++off[bucket_of(t.key) + 1];
   for (std::uint32_t b = 0; b < fanout; ++b) off[b + 1] += off[b];

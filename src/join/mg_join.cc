@@ -175,9 +175,9 @@ Result<PreparedJoin> MgJoin::Prepare(const data::DistRelation& r,
     HostPhase phase(name, host_metrics);
     return fn();
   };
-  const HistogramSet hist_r =
+  HistogramSet hist_r =
       timed("host.histogram", [&] { return BuildHistograms(r, radix_bits); });
-  const HistogramSet hist_s =
+  HistogramSet hist_s =
       timed("host.histogram", [&] { return BuildHistograms(s, radix_bits); });
   // Phase 1 ends at the slowest GPU's histogram; phase 2b, the partition
   // kernel, then runs per GPU over the same tuples.
@@ -198,6 +198,10 @@ Result<PreparedJoin> MgJoin::Prepare(const data::DistRelation& r,
   aopts.packet_bytes = options_.transfer.packet_bytes;
   const PartitionAssignment assignment =
       ComputeAssignment(*topo_, gpus_, hist_r, hist_s, aopts);
+  // Nothing reads the histograms after the assignment; free them before
+  // the shuffle allocates its buffers.
+  hist_r = {};
+  hist_s = {};
 
   // ---- Phase 2c: functional shuffle; its network timing is Simulate's.
   ShuffleOptions sopts;

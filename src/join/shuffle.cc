@@ -18,13 +18,17 @@ namespace {
 // is the larger side, which never moves (its holders are the owner set
 // by construction). count and start are g x parts, row-major by
 // source: the size of block (src, p) and its offset in its home's
-// buffer (the source's own buffer when home is -1).
+// buffer (the source's own buffer when home is -1). 32 bits suffice:
+// Scatter checks that every shard and every buffer holds fewer than
+// 2^32 tuples.
 struct Scattered {
   std::vector<PartitionedTuples> recv;
   std::vector<int> home;
-  std::vector<std::size_t> count;
-  std::vector<std::size_t> start;
+  std::vector<std::uint32_t> count;
+  std::vector<std::uint32_t> start;
 };
+
+constexpr std::uint64_t kMaxBufferTuples = std::uint64_t{1} << 32;
 
 // The functional partition kernel plus data distribution for one
 // relation: a count pass per shard, exact region offsets per (dst, p)
@@ -47,10 +51,14 @@ Scattered Scatter(const data::DistRelation& rel, bool is_r, int radix_bits,
         owners.size() > 1 && assignment.split_broadcast_r[p] != is_r;
     out.home[p] = stays ? -1 : owners[0];
   }
+  for (const data::Shard& shard : rel.shards) {
+    MGJ_CHECK(shard.size() < kMaxBufferTuples)
+        << "shard of " << shard.size() << " tuples";
+  }
   out.count.assign(static_cast<std::size_t>(g) * parts, 0);
   out.start.resize(static_cast<std::size_t>(g) * parts);
   ParallelFor(0, g, [&](std::size_t src) {
-    std::size_t* count = &out.count[src * parts];
+    std::uint32_t* count = &out.count[src * parts];
     for (const data::Tuple& t : rel.shards[src]) ++count[part_of(t)];
   });
 
@@ -59,25 +67,34 @@ Scattered Scatter(const data::DistRelation& rel, bool is_r, int radix_bits,
   // every region of their home.
   out.recv.resize(g);
   for (PartitionedTuples& recv : out.recv) recv.offsets.resize(parts + 1);
-  std::vector<std::size_t> fill(g, 0);
+  std::vector<std::uint64_t> fill(g, 0);
   for (std::uint32_t p = 0; p < parts; ++p) {
-    for (int dst = 0; dst < g; ++dst) out.recv[dst].offsets[p] = fill[dst];
+    // Values past 2^32 wrap here, but then the check below fails before
+    // any of them is used.
+    for (int dst = 0; dst < g; ++dst) {
+      out.recv[dst].offsets[p] = static_cast<std::uint32_t>(fill[dst]);
+    }
     const int home = out.home[p];
+    const std::uint64_t region = home < 0 ? 0 : fill[home];
     for (int src = 0; src < g; ++src) {
       const std::size_t b = static_cast<std::size_t>(src) * parts + p;
-      std::size_t& f = fill[home < 0 ? src : home];
-      out.start[b] = f;
+      std::uint64_t& f = fill[home < 0 ? src : home];
+      out.start[b] = static_cast<std::uint32_t>(f);
       f += out.count[b];
     }
     if (home < 0) continue;
     // Further owners of a broadcast partition mirror the first's region.
     const std::vector<int>& owners = assignment.owners[p];
-    const std::size_t total = fill[home] - out.recv[home].offsets[p];
+    const std::uint64_t total = fill[home] - region;
     for (std::size_t o = 1; o < owners.size(); ++o) fill[owners[o]] += total;
+  }
+  for (int dst = 0; dst < g; ++dst) {
+    MGJ_CHECK(fill[dst] < kMaxBufferTuples)
+        << "GPU " << dst << " would receive " << fill[dst] << " tuples";
   }
   // Sized in parallel: first touching a large buffer is page faults.
   ParallelFor(0, g, [&](std::size_t dst) {
-    out.recv[dst].offsets[parts] = fill[dst];
+    out.recv[dst].offsets[parts] = static_cast<std::uint32_t>(fill[dst]);
     out.recv[dst].tuples.resize(fill[dst]);
   });
 
@@ -124,13 +141,11 @@ ShuffleResult ShufflePartitions(const data::DistRelation& r,
   MGJ_CHECK(r.domain_bits == s.domain_bits);
   MGJ_CHECK(assignment.owners.size() == parts);
 
-  Scattered rel[2] = {Scatter(r, true, radix_bits, assignment),
-                      Scatter(s, false, radix_bits, assignment)};
-
   // Wire bytes per (src, dst), from each (src, p) block read in place.
   // Morsel = a fixed chunk of partitions with its own accumulators;
   // the totals are integer sums, so they are identical at any thread
-  // count.
+  // count. The relations are scattered and accounted one at a time, so
+  // only one relation's block counts and starts are alive at once.
   struct ChunkAcc {
     std::vector<std::uint64_t> flow;  // g x g wire bytes, row-major
     std::uint64_t compressed = 0;
@@ -144,16 +159,20 @@ ShuffleResult ShufflePartitions(const data::DistRelation& r,
   const int extra_bits = Log2Ceil(static_cast<std::uint64_t>(
       options.virtual_scale < 1.0 ? 1.0 : options.virtual_scale));
 
-  ParallelForChunked(0, parts, kPartGrain, [&](std::size_t lo,
-                                               std::size_t hi) {
-    ChunkAcc& acc = chunk_acc[lo / kPartGrain];
-    acc.flow.assign(static_cast<std::size_t>(g) * g, 0);
-    for (const Scattered& sc : rel) {
+  ShuffleResult out;
+  for (const bool is_r : {true, false}) {
+    Scattered sc = Scatter(is_r ? r : s, is_r, radix_bits, assignment);
+    ParallelForChunked(0, parts, kPartGrain, [&](std::size_t lo,
+                                                 std::size_t hi) {
+      ChunkAcc& acc = chunk_acc[lo / kPartGrain];
+      if (acc.flow.empty()) {
+        acc.flow.assign(static_cast<std::size_t>(g) * g, 0);
+      }
       for (int src = 0; src < g; ++src) {
         for (std::size_t p = lo; p < hi; ++p) {
           const int home = sc.home[p];
           const std::size_t b = static_cast<std::size_t>(src) * parts + p;
-          const std::size_t n = sc.count[b];
+          const std::uint64_t n = sc.count[b];
           // The larger side of a split partition stays put, and a block
           // at its single owner is local.
           if (n == 0 || home < 0) continue;
@@ -176,12 +195,10 @@ ShuffleResult ShufflePartitions(const data::DistRelation& r,
           }
         }
       }
-    }
-  });
+    });
+    (is_r ? out.r_recv : out.s_recv) = std::move(sc.recv);
+  }
 
-  ShuffleResult out;
-  out.r_recv = std::move(rel[0].recv);
-  out.s_recv = std::move(rel[1].recv);
   std::vector<std::vector<std::uint64_t>> flow_bytes(
       g, std::vector<std::uint64_t>(g, 0));
   for (const ChunkAcc& acc : chunk_acc) {

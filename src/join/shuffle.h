@@ -43,9 +43,10 @@ struct ShuffleOptions {
 
 /// Executes the distribution functionally and builds the flow set.
 /// Histograms supply the radix width; the assignment supplies owners.
-/// Each relation is counted per shard, then scattered once, in
+/// One relation at a time is counted per shard, then scattered once, in
 /// parallel by source, straight into one flat buffer per destination;
-/// broadcast copies are then made from the first owner's block.
+/// broadcast copies are then made from the first owner's block. Every
+/// shard and every destination buffer must hold fewer than 2^32 tuples.
 ShuffleResult ShufflePartitions(const data::DistRelation& r,
                                 const data::DistRelation& s,
                                 int radix_bits,

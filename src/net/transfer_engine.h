@@ -39,8 +39,9 @@ struct TransferOptions {
   /// How long a sender waits between ring-buffer re-checks when the
   /// receiver's buffer stays full.
   sim::SimTime poll_interval = 50 * sim::kMicrosecond;
-  /// Consecutive failed polls after which queued transit packets escape
-  /// to their direct route (deadlock safety valve; see DESIGN.md).
+  /// Ring syncs without an accepted batch on that ring after which its
+  /// queued transit packets escape to their direct route (deadlock
+  /// safety valve; a busy sender reaches it too; see DESIGN.md).
   int escape_poll_threshold = 20;
   /// For the Figure 10 breakdown: measure the centralized baseline's pure
   /// data-transfer cost by zeroing its per-batch barrier.

@@ -82,6 +82,9 @@ Result<ServiceResult> QueryScheduler::Run(
   // timing-only (no obs sinks, no faults, FIFO): its host-phase timers
   // stay out of the run's metrics, and its Simulate is the solo run on
   // an idle, healthy fabric. Both caches live for this Run only.
+  // The distinct datasets are found in query order, then prepared one
+  // task per dataset (DESIGN.md Sec 15). Errors are read in dataset
+  // order after the loop, so they do not depend on the thread count.
   join::MgJoinOptions solo_opts = options_.join;
   solo_opts.transfer.obs = obs::ObsHooks{};
   solo_opts.transfer.faults = net::FaultPlan{};
@@ -96,25 +99,39 @@ Result<ServiceResult> QueryScheduler::Run(
   for (std::size_t qi = 0; qi < queries.size(); ++qi) {
     data::GenOptions gen = queries[qi].gen;
     gen.num_gpus = static_cast<int>(gpus_.size());
-    const Dataset* dataset = nullptr;
-    for (const Dataset& d : datasets) {
+    Dataset* dataset = nullptr;
+    for (Dataset& d : datasets) {
       if (d.gen == gen) dataset = &d;
     }
     if (dataset == nullptr) {
-      Dataset& d = datasets.emplace_back();
-      d.gen = gen;
-      const auto [r, s] = data::MakeJoinInput(gen);
-      MGJ_ASSIGN_OR_RETURN(d.prepared, solo_join.Prepare(r, s));
-      MGJ_CHECK(d.prepared.flows.size() < (std::size_t{1} << kFlowIdShift))
-          << "query " << queries[qi].query_id << " has too many flows";
-      if (options_.measure_solo) {
-        d.solo_latency = solo_join.Simulate(d.prepared).timing.total;
-      }
-      dataset = &d;
+      dataset = &datasets.emplace_back();
+      dataset->gen = gen;
     }
     states[qi].spec = &queries[qi];
     states[qi].dataset = dataset;
     states[qi].last_arrival.assign(gpus_.size(), 0);
+  }
+  std::vector<Status> prepare_status(datasets.size());
+  ParallelFor(0, datasets.size(), [&](std::size_t i) {
+    Dataset& d = datasets[i];
+    Result<join::PreparedJoin> prepared = [&] {
+      const auto [r, s] = data::MakeJoinInput(d.gen);
+      return solo_join.Prepare(r, s);
+    }();
+    if (!prepared.ok()) {
+      prepare_status[i] = prepared.status();
+      return;
+    }
+    d.prepared = std::move(prepared).value();
+    if (options_.measure_solo) {
+      d.solo_latency = solo_join.Simulate(d.prepared).timing.total;
+    }
+  });
+  for (std::size_t i = 0; i < datasets.size(); ++i) {
+    MGJ_RETURN_NOT_OK(prepare_status[i]);
+    MGJ_CHECK(datasets[i].prepared.flows.size() <
+              (std::size_t{1} << kFlowIdShift))
+        << "dataset " << i << " has too many flows";
   }
 
   // ---- Shared fabric: one simulator, one engine, all tenants.

@@ -371,6 +371,25 @@ std::vector<svc::QuerySpec> SharedDatasetStream() {
   return queries;
 }
 
+// 12 distinct datasets, more than the 8-thread pool has threads, so
+// which thread prepares which dataset, and when, varies from run to
+// run; 24 queries admit each PreparedJoin twice.
+std::vector<svc::QuerySpec> TwelveDatasetStream() {
+  std::vector<svc::QuerySpec> queries(24);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    svc::QuerySpec& q = queries[i];
+    const std::size_t d = i % 12;
+    q.query_id = i + 1;
+    q.gen.tuples_per_relation = 1u << 13;
+    q.gen.key_zipf = d % 3 == 2 ? 1.0 : 0.0;
+    q.gen.placement_zipf = d % 4 == 3 ? 0.5 : 0.0;
+    q.gen.seed = 100 + d;
+    q.priority = static_cast<int>(i % 3);
+    q.submit_at = static_cast<sim::SimTime>(i) * 100 * sim::kMicrosecond;
+  }
+  return queries;
+}
+
 ServiceRun RunFaultedService(
     std::size_t threads, net::ArbitrationKind kind,
     const std::vector<svc::QuerySpec>& queries = FourTenants()) {
@@ -418,6 +437,16 @@ TEST(DeterminismTest, ServiceRunInvariantAcrossThreadCounts) {
   EXPECT_EQ(run.checksum, base.checksum);
   EXPECT_EQ(run.slo_text, base.slo_text);
   EXPECT_EQ(run.trace_json, base.trace_json);
+  // More distinct datasets than pool threads, prepared concurrently.
+  const std::vector<svc::QuerySpec> twelve = TwelveDatasetStream();
+  const ServiceRun base12 =
+      RunFaultedService(1, net::ArbitrationKind::kFairShare, twelve);
+  EXPECT_GT(base12.checksum, 0u);
+  const ServiceRun run12 =
+      RunFaultedService(8, net::ArbitrationKind::kFairShare, twelve);
+  EXPECT_EQ(run12.checksum, base12.checksum);
+  EXPECT_EQ(run12.slo_text, base12.slo_text);
+  EXPECT_EQ(run12.trace_json, base12.trace_json);
   ThreadPool::SetDefaultThreads(0);
 }
 
