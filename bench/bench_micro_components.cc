@@ -635,6 +635,42 @@ void BM_TransferEngineShuffleSampled(benchmark::State& state) {
 }
 BENCHMARK(BM_TransferEngineShuffleSampled);
 
+// Saturated all-to-all in the shape of net_test's
+// BusySendersParkTheirRingSyncs: DGX-1V, default options, adaptive,
+// 56 flows x 512 MiB (14,336 packets). Senders stay busy, so their
+// ring-sync chains park; the counters show the events and ring syncs
+// per packet that the run needed.
+void BM_TransferEngineAllToAll(benchmark::State& state) {
+  auto topo = topo::MakeDgx1V();
+  std::uint64_t packets = 0;
+  std::uint64_t events = 0;
+  std::uint64_t syncs = 0;
+  for (auto _ : state) {
+    sim::Simulator s;
+    auto policy = net::MakePolicy(net::PolicyKind::kAdaptive);
+    net::TransferEngine eng(&s, topo.get(), topo::FirstNGpus(8),
+                            policy.get(), {});
+    std::uint64_t id = 0;
+    for (int a = 0; a < 8; ++a) {
+      for (int b = 0; b < 8; ++b) {
+        if (a != b) {
+          eng.AddFlow(net::Flow{id++, a, b, 512 * kMiB, 0, 0.0, 0, {}});
+        }
+      }
+    }
+    eng.Start();
+    s.Run();
+    packets += eng.stats().packets;
+    syncs += eng.stats().ring_syncs;
+    events += s.events_processed();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(packets));
+  const double p = static_cast<double>(std::max<std::uint64_t>(packets, 1));
+  state.counters["events_per_packet"] = static_cast<double>(events) / p;
+  state.counters["ring_syncs_per_packet"] = static_cast<double>(syncs) / p;
+}
+BENCHMARK(BM_TransferEngineAllToAll)->Unit(benchmark::kMillisecond);
+
 // Loaded counterpart of BM_AdaptiveRoutingDecision: every ordered DGX-1V
 // pair has queued reservations whose delays have been broadcast, so the
 // published delays the adaptive policy reads are non-zero, and the batch

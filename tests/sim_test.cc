@@ -340,7 +340,8 @@ TEST(SimulatorTest, SameTimestampEventsCanScheduleMoreAtSameTime) {
 // all repro experiments rely on.
 
 std::pair<std::string, std::uint64_t> TracedAdaptiveRun(
-    QueueKind kind = QueueKind::kCalendar, bool faulted = false) {
+    QueueKind kind = QueueKind::kCalendar, bool faulted = false,
+    bool escape_heavy = false) {
   Simulator s(kind);
   auto topo = topo::MakeDgx1V();
   auto policy = net::MakePolicy(net::PolicyKind::kAdaptive);
@@ -348,6 +349,12 @@ std::pair<std::string, std::uint64_t> TracedAdaptiveRun(
   net::TransferOptions opts;
   opts.obs.trace = &trace;
   opts.ring_buffer_bytes = 8 * kMiB;  // some backpressure + ring syncs
+  if (escape_heavy) {
+    // 2-slot rings and an impatient escape valve: parked ring syncs,
+    // escapes and fault re-routes all meet.
+    opts.ring_buffer_bytes = 4 * kMiB;
+    opts.escape_poll_threshold = 2;
+  }
   if (faulted) {
     opts.faults = net::FaultPlan::Parse(
                       "down:gpu0-gpu3:@1ms,restore:gpu0-gpu3:@4ms,"
@@ -393,6 +400,18 @@ TEST(SimulatorTest, CalendarAndHeapQueuesProduceByteIdenticalTraces) {
   ASSERT_FALSE(cal_json.empty());
   EXPECT_EQ(cal_json, heap_json)
       << "calendar queue diverged from the heap reference";
+
+  // Escape-heavy faulted run: parked ring syncs reinstate their steps
+  // with explicit keys, which both queues must order alike.
+  const auto [cal_esc_json, cal_esc_events] = TracedAdaptiveRun(
+      QueueKind::kCalendar, /*faulted=*/true, /*escape_heavy=*/true);
+  const auto [heap_esc_json, heap_esc_events] = TracedAdaptiveRun(
+      QueueKind::kHeapReference, /*faulted=*/true, /*escape_heavy=*/true);
+  EXPECT_EQ(cal_esc_events, heap_esc_events);
+  ASSERT_FALSE(cal_esc_json.empty());
+  EXPECT_NE(cal_esc_json.find("\"escape\""), std::string::npos);
+  EXPECT_EQ(cal_esc_json, heap_esc_json)
+      << "escape-heavy run: calendar queue diverged from the heap";
 }
 
 }  // namespace
