@@ -19,8 +19,6 @@ inline std::uint64_t NextPow2(std::uint64_t n) {
   return 1ull << Log2Ceil(n);
 }
 
-inline bool IsPow2(std::uint64_t n) { return n != 0 && (n & (n - 1)) == 0; }
-
 /// Integer division rounding up.
 inline std::uint64_t CeilDiv(std::uint64_t a, std::uint64_t b) {
   return (a + b - 1) / b;

@@ -1,6 +1,5 @@
 #include "common/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <vector>
@@ -8,7 +7,7 @@
 namespace mgjoin {
 
 namespace {
-std::atomic<LogLevel> g_level{LogLevel::kWarn};
+constexpr LogLevel kMinLevel = LogLevel::kWarn;
 
 std::vector<std::function<void()>>& FatalHooks() {
   static std::vector<std::function<void()>> hooks;
@@ -44,9 +43,6 @@ const char* LevelName(LogLevel level) {
 }
 }  // namespace
 
-void SetLogLevel(LogLevel level) { g_level.store(level); }
-LogLevel GetLogLevel() { return g_level.load(); }
-
 void AtFatal(std::function<void()> fn) {
   FatalHooks().push_back(std::move(fn));
 }
@@ -55,7 +51,7 @@ namespace internal {
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line)
     : level_(level),
-      enabled_(level >= g_level.load() || level == LogLevel::kFatal) {
+      enabled_(level >= kMinLevel || level == LogLevel::kFatal) {
   if (enabled_) {
     stream_ << "[" << LevelName(level) << " " << file << ":" << line << "] ";
   }

@@ -7,12 +7,9 @@
 
 namespace mgjoin {
 
+/// Messages below kWarn are dropped, so library code stays quiet in
+/// benchmarks.
 enum class LogLevel { kDebug = 0, kInfo, kWarn, kError, kFatal };
-
-/// Global log threshold; messages below it are dropped. Defaults to kWarn
-/// so that library code stays quiet in benchmarks unless asked.
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
 
 /// \brief Registers `fn` to run after a Fatal message is printed and
 /// before the process aborts — the hook for flushing diagnostics (the

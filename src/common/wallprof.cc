@@ -17,13 +17,6 @@ std::vector<std::pair<std::string, double>> WallProfiler::Phases() const {
   return {seconds_.begin(), seconds_.end()};
 }
 
-double WallProfiler::TotalSeconds() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  double total = 0.0;
-  for (const auto& [_, s] : seconds_) total += s;
-  return total;
-}
-
 void WallProfiler::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
   seconds_.clear();

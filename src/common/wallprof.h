@@ -1,7 +1,6 @@
 #ifndef MGJOIN_COMMON_WALLPROF_H_
 #define MGJOIN_COMMON_WALLPROF_H_
 
-#include <chrono>
 #include <map>
 #include <mutex>
 #include <string>
@@ -33,36 +32,7 @@ class WallProfiler {
   /// Accumulated (phase, seconds) pairs sorted by phase name.
   std::vector<std::pair<std::string, double>> Phases() const;
 
-  /// Total wall seconds across all phases.
-  double TotalSeconds() const;
-
   void Reset();
-
-  /// RAII timer: accumulates the scope's wall time into `phase` on
-  /// destruction.
-  class Scope {
-   public:
-    Scope(WallProfiler* prof, std::string phase)
-        : prof_(prof),
-          phase_(std::move(phase)),
-          start_(std::chrono::steady_clock::now()) {}
-
-    ~Scope() {
-      if (prof_ == nullptr) return;
-      prof_->Add(phase_,
-                 std::chrono::duration<double>(
-                     std::chrono::steady_clock::now() - start_)
-                     .count());
-    }
-
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-
-   private:
-    WallProfiler* prof_;
-    std::string phase_;
-    std::chrono::steady_clock::time_point start_;
-  };
 
  private:
   mutable std::mutex mu_;

@@ -39,21 +39,6 @@ sim::SimTime KernelModel::ProbeTime(std::uint64_t build_tuples,
                            spec_.hbm_bandwidth * spec_.probe_efficiency);
 }
 
-sim::SimTime KernelModel::AssignmentTime(std::uint32_t partitions,
-                                         int num_gpus) const {
-  // One warp per partition; each warp scores all candidate migrations
-  // (O(num_gpus^2) benefit evaluations of a few cycles each). Warps run
-  // sm_count * thread_blocks_per_sm at a time.
-  const double warps_parallel =
-      static_cast<double>(spec_.sm_count) * spec_.thread_blocks_per_sm;
-  const double rounds =
-      static_cast<double>(partitions) / warps_parallel;
-  const double cycles_per_round =
-      64.0 * static_cast<double>(num_gpus) * static_cast<double>(num_gpus);
-  const double seconds = rounds * cycles_per_round / spec_.clock_hz;
-  return LaunchOverhead() + sim::FromSeconds(seconds);
-}
-
 double KernelModel::CyclesPerTuple(sim::SimTime t,
                                    std::uint64_t tuples) const {
   if (tuples == 0) return 0.0;

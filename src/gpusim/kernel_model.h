@@ -37,12 +37,6 @@ class KernelModel {
                          std::uint64_t matches,
                          std::uint32_t tuple_bytes) const;
 
-  /// Partition-assignment computation (Sec 3.2 Step 2): all warps
-  /// cooperate, one partition per warp; fully overlapped with the
-  /// partition kernel in MG-Join but charged to baselines that cannot
-  /// overlap it.
-  sim::SimTime AssignmentTime(std::uint32_t partitions, int num_gpus) const;
-
   /// Fixed cost of launching one kernel.
   sim::SimTime LaunchOverhead() const { return 8 * sim::kMicrosecond; }
 

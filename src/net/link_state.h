@@ -208,10 +208,6 @@ class LinkStateTable {
   /// True if every channel along `r` is available.
   bool RouteAvailable(const topo::Route& r) const;
 
-  /// Route-validity epoch: bumps on every link state change, so cached
-  /// routing decisions can be invalidated with one comparison.
-  std::uint64_t route_epoch() const { return avail_.epoch(); }
-
   /// Fault events scheduled but not yet applied. While this is positive
   /// a blocked sender may legitimately be waiting for a restore, so the
   /// engine keeps polling (and ticking the deadlock watchdog).

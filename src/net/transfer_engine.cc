@@ -10,6 +10,21 @@
 
 namespace mgjoin::net {
 
+namespace {
+
+// Fixed per-batch cost of the CUDA framework (launch + descriptor).
+constexpr sim::SimTime kBatchOverhead = 10 * sim::kMicrosecond;
+// How long a sender blocked with no admissible route waits before
+// re-checking. Only polled while further fault events are scheduled; a
+// restore also re-kicks every sender immediately.
+constexpr sim::SimTime kFaultRetryInterval = 200 * sim::kMicrosecond;
+// Source-queue packets a tenant policy may look past a paced head when
+// forming a batch (finite arbiter lookahead; mixed-tenant queues would
+// otherwise head-of-line-block eligible queries). Unused under kFifo.
+constexpr std::size_t kArbReorderWindow = 64;
+
+}  // namespace
+
 TransferEngine::TransferEngine(sim::Simulator* sim,
                                const topo::Topology* topo,
                                std::vector<int> gpus, RoutingPolicy* policy,
@@ -119,12 +134,12 @@ void TransferEngine::RegisterTelemetryProbes() {
 void TransferEngine::RegisterAuditorChecks() {
   obs::InvariantAuditor* a = obs_.auditor;
   a->set_dump_fn([this] {
-    if (!catching_up_) CatchUpAll(CurrentPos());
+    if (!catching_up_) CatchUp(-1, CurrentPos());
     return DebugDump();
   });
   a->set_done_fn([this] { return AllDone(); });
   a->set_progress_fn([this] {
-    CatchUpAll(CurrentPos());
+    CatchUp(-1, CurrentPos());
     // Any of these moving means the fabric is not wedged. Fault-retry
     // polls count as progress: a sender waiting out a link outage with a
     // restore still scheduled is healthy, not deadlocked (the polls stop
@@ -437,9 +452,8 @@ bool TransferEngine::TryStartBatch(int gpu, const QueueKey& key) {
         return false;
       }
     } else {
-      const std::size_t window = std::min<std::size_t>(
-          queue.size(),
-          static_cast<std::size_t>(options_.arb_reorder_window));
+      const std::size_t window =
+          std::min<std::size_t>(queue.size(), kArbReorderWindow);
       std::size_t skip = 0;
       sim::SimTime earliest = 0;
       while (skip < window) {
@@ -521,7 +535,7 @@ void TransferEngine::SendBatch(int gpu, std::vector<QueuedPacket> batch,
   MGJ_CHECK(slot < options_.dma_engines);
   gs.engine_busy[slot] = 1;
 
-  sim::SimTime start_at = sim_->Now() + options_.batch_overhead;
+  sim::SimTime start_at = sim_->Now() + kBatchOverhead;
   if (policy_->SerializesGlobally() && !options_.zero_control_overhead) {
     // MGJ-Baseline: every batch passes through a global barrier; the
     // whole machine serializes on the coordinator.
@@ -807,47 +821,66 @@ void TransferEngine::RunChainStep(int id, const StepPos& at_pos) {
   const int ring_idx = chains_[id].ring;
   const bool poll = chains_[id].poll_next;
   const int sender = RingSender(ring_idx);
-  const int receiver = RingReceiver(ring_idx);
   if (pos.key % 2 == 0) {
     // A dispatched event: its predecessor ran one step delay earlier.
     pos.parent_at = pos.at - StepDelay(ring_idx, poll);
   }
   CatchUp(sender, pos, ring_idx);
   CatchUpEscapes(sender, pos, -1);
-  const sim::SimTime now = sim_->Now();
-  if (!poll) {
-    RingLink& r = rings_[ring_idx];
-    r.sync_pending = false;
-    r.freed_view = r.freed;
-    // Count the poll; TryStartBatch resets the counter when the ring
-    // actually accepts a batch, so a sender that keeps waking without
-    // progressing (e.g. transit traffic starved behind the reserved
-    // last-hop slot) still reaches the escape valve.
-    ++r.failed_polls;
-    if (r.failed_polls >= options_.escape_poll_threshold) {
-      r.failed_polls = 0;
-      EscapeBlockedPackets(sender, receiver, now, /*kick=*/true);
-    }
-    if (rings_[ring_idx].FreeViewFor(true) >= 1) TryStartSends(sender);
-    ContinueChain(id, /*poll=*/true, now + options_.poll_interval, pos);
-    if (!options_.faults.empty()) RecheckParking(sender, pos);
-  } else {
-    // Keep polling while the sender still has queued traffic.
-    if (!HasQueuedPackets(gpu_state(sender))) {
-      rings_[ring_idx].stable = false;
-      free_chains_.push_back(id);
-      return;
-    }
-    if (BeginSync(ring_idx, now)) {
-      ContinueChain(id, /*poll=*/false, now + rings_[ring_idx].sync_cost,
-                    pos);
-    } else {
-      rings_[ring_idx].stable = false;
-      free_chains_.push_back(id);  // another chain's sync is in flight
-    }
+  // Keep polling while the sender still has queued traffic.
+  if (poll && !HasQueuedPackets(gpu_state(sender))) {
+    rings_[ring_idx].stable = false;
+    free_chains_.push_back(id);
+    return;
+  }
+  const bool alive = ApplyStep(id, pos.at);
+  if (!poll && rings_[ring_idx].FreeViewFor(true) >= 1) TryStartSends(sender);
+  if (alive) {
+    ContinueChain(id, chains_[id].poll_next, chains_[id].next_at, pos);
+  }
+  if (poll) {
     TryStartSends(sender);
+  } else if (!options_.faults.empty()) {
+    RecheckParking(sender, pos);
   }
   MaybeTrimLog(pos);
+}
+
+bool TransferEngine::ApplyStep(int id, sim::SimTime at) {
+  SyncChain& c = chains_[id];
+  const int ring_idx = c.ring;
+  RingLink& r = rings_[ring_idx];
+  if (c.poll_next) {
+    if (!BeginSync(ring_idx, at)) {
+      // Another chain's sync is in flight.
+      c.parked = false;
+      r.stable = false;
+      free_chains_.push_back(id);
+      return false;
+    }
+    c.poll_next = false;
+    c.next_at = at + r.sync_cost;
+    return true;
+  }
+  // A parked step's sender is busy: its TryStartSends is a no-op, and its
+  // escape moves packets only along direct routes.
+  const bool kick = !c.parked;
+  r.sync_pending = false;
+  r.freed_view = kick ? r.freed : FreedAt(id, at);
+  c.poll_next = true;
+  c.next_at = at + options_.poll_interval;
+  // Count the poll; TryStartBatch resets the counter when the ring
+  // actually accepts a batch, so a sender that keeps waking without
+  // progressing (e.g. transit traffic starved behind the reserved
+  // last-hop slot) still reaches the escape valve.
+  ++r.failed_polls;
+  if (r.failed_polls >= options_.escape_poll_threshold) {
+    r.failed_polls = 0;
+    // Last: a kicked sender may start chains, moving chains_.
+    EscapeBlockedPackets(RingSender(ring_idx), RingReceiver(ring_idx), at,
+                         kick);
+  }
+  return true;
 }
 
 void TransferEngine::ContinueChain(int id, bool poll, sim::SimTime when,
@@ -954,6 +987,10 @@ void TransferEngine::AssignRank(int id, const StepPos& root) {
 }
 
 void TransferEngine::CatchUp(int sender, const StepPos& pos, int only_ring) {
+  if (sender < 0) {
+    for (int g : gpus_) CatchUp(g, pos);
+    return;
+  }
   GpuState& gs = gpu_state(sender);
   if (gs.parked == 0 || gs.parked_min_at > pos.at) return;
   const bool nested = catching_up_;
@@ -964,29 +1001,18 @@ void TransferEngine::CatchUp(int sender, const StepPos& pos, int only_ring) {
     // The sender's earliest parked step stays a lower bound.
     CatchUpRing(only_ring, pos);
   } else {
+    gs.parked_min_at = std::numeric_limits<sim::SimTime>::max();
     const std::size_t g = gpus_.size();
     for (std::size_t r = 0; r < g; ++r) {
-      CatchUpRing(static_cast<int>(r * g) + dense_[sender], pos);
+      const int idx = static_cast<int>(r * g) + dense_[sender];
+      CatchUpRing(idx, pos);
+      const RingLink& rl = rings_[idx];
+      if (!rl.parked.empty()) {
+        gs.parked_min_at = std::min(gs.parked_min_at, rl.parked_min_at);
+      }
     }
-    UpdateParkedMin(sender);
   }
   catching_up_ = nested;
-}
-
-void TransferEngine::UpdateParkedMin(int sender) {
-  GpuState& gs = gpu_state(sender);
-  gs.parked_min_at = std::numeric_limits<sim::SimTime>::max();
-  const std::size_t g = gpus_.size();
-  for (std::size_t r = 0; r < g; ++r) {
-    const RingLink& rl = rings_[r * g + dense_[sender]];
-    if (!rl.parked.empty()) {
-      gs.parked_min_at = std::min(gs.parked_min_at, rl.parked_min_at);
-    }
-  }
-}
-
-void TransferEngine::CatchUpAll(const StepPos& pos) {
-  for (int g : gpus_) CatchUp(g, pos);
 }
 
 std::uint64_t TransferEngine::FreedAt(int id, sim::SimTime at) const {
@@ -1076,7 +1102,7 @@ void TransferEngine::CatchUpRing(int ring_idx, const StepPos& pos) {
       continue;
     }
     ++parking_.parked_steps;
-    if (!ApplyParkedStep(first)) {
+    if (!ApplyStep(first, at)) {
       ended = true;
       window_end = 0;
     }
@@ -1202,38 +1228,6 @@ void TransferEngine::ApplyStable(const int* ids, std::size_t n,
   }
 }
 
-bool TransferEngine::ApplyParkedStep(int id) {
-  SyncChain& c = chains_[id];
-  const int ring_idx = c.ring;
-  RingLink& r = rings_[ring_idx];
-  const sim::SimTime at = c.next_at;
-  if (!c.poll_next) {
-    // The sender is busy, so the step's TryStartSends would return at
-    // once; its escape moves packets only along direct routes.
-    r.sync_pending = false;
-    r.freed_view = FreedAt(id, at);
-    ++r.failed_polls;
-    if (r.failed_polls >= options_.escape_poll_threshold) {
-      r.failed_polls = 0;
-      // A parked step's sender was busy: its TryStartSends was a no-op.
-      EscapeBlockedPackets(RingSender(ring_idx), RingReceiver(ring_idx), at,
-                           /*kick=*/false);
-    }
-    c.next_at = at + options_.poll_interval;
-  } else {
-    // A busy sender always has queued packets.
-    if (!BeginSync(ring_idx, at)) {
-      c.parked = false;
-      r.stable = false;
-      free_chains_.push_back(id);
-      return false;
-    }
-    c.next_at = at + r.sync_cost;
-  }
-  c.poll_next = !c.poll_next;
-  return true;
-}
-
 TransferEngine::StepPos TransferEngine::ParkedPos(int id, sim::SimTime at,
                                                   bool poll) const {
   const SyncChain& c = chains_[id];
@@ -1325,7 +1319,7 @@ void TransferEngine::Unpark(int sender, int ring_idx) {
     rl.late_frees.clear();
     rl.stable = false;
   }
-  UpdateParkedMin(sender);
+  // The sender's parked_min_at stays a lower bound on what is left.
 }
 
 void TransferEngine::RunResumeGroup(sim::SimTime at, std::uint64_t key) {
@@ -1370,7 +1364,7 @@ void TransferEngine::MaybeTrimLog(const StepPos& now_pos) {
   if (sim_->execution_log_size() < 4096) return;
   // Apply every parked step up to now and re-anchor each chain at its
   // next step; older log entries are then no longer consulted.
-  CatchUpAll(now_pos);
+  CatchUp(-1, now_pos);
   for (const RingLink& rl : rings_) {
     for (int id : rl.parked) chain_pos_[id].anchor = NextPos(id);
   }
@@ -1517,7 +1511,7 @@ void TransferEngine::RepairStrandedTransit() {
 
 void TransferEngine::OnFaultEvent(const FaultEvent& ev) {
   if (!started_) return;
-  CatchUpAll(CurrentPos());
+  CatchUp(-1, CurrentPos());
   if (ev.kind == FaultKind::kDown) RepairStrandedTransit();
   // Capacity changed (restore/degrade) or queues were re-pathed: give
   // every sender a chance to move.
@@ -1538,7 +1532,7 @@ void TransferEngine::ScheduleFaultRetry(int gpu) {
   // scheduled is healthy, not deadlocked.
   ++stats_.fault_waits;
   m_fault_waits_.Add(1);
-  sim_->Schedule(options_.fault_retry_interval, [this, gpu] {
+  sim_->Schedule(kFaultRetryInterval, [this, gpu] {
     fault_retry_pending_[dense_[gpu]] = 0;
     TryStartSends(gpu);
   });

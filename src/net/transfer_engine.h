@@ -33,8 +33,6 @@ struct TransferOptions {
   int dma_engines = 2;
   /// Maximum intermediate GPUs on a route (paper: 3).
   int max_intermediates = 3;
-  /// Fixed per-batch cost of the CUDA framework (launch + descriptor).
-  sim::SimTime batch_overhead = 10 * sim::kMicrosecond;
   /// Receiver-side cost to unpack a delivered packet before its routing
   /// slot can be reused.
   sim::SimTime unpack_delay = 3 * sim::kMicrosecond;
@@ -51,19 +49,10 @@ struct TransferOptions {
   /// Scheduled link fault events, applied to the fabric when Start()
   /// runs (see net/fault_plan.h). Empty = healthy fabric.
   FaultPlan faults;
-  /// How long a sender blocked with no admissible route waits before
-  /// re-checking. Only polled while further fault events are scheduled —
-  /// a restore also re-kicks every sender immediately.
-  sim::SimTime fault_retry_interval = 200 * sim::kMicrosecond;
   /// How concurrent queries competing for a link direction are ordered
   /// (multi-tenant service; DESIGN.md Sec 15). kFifo reproduces the
   /// single-query engine byte for byte.
   ArbitrationKind arbitration = ArbitrationKind::kFifo;
-  /// Source-queue packets a tenant policy may look past a paced head
-  /// when forming a batch (finite arbiter lookahead; mixed-tenant
-  /// queues would otherwise head-of-line-block eligible queries).
-  /// Ignored under kFifo.
-  int arb_reorder_window = 64;
   /// Observability sinks (see obs/obs.h). Null trace/metrics pointers
   /// disable those sinks; a null auditor makes the engine run its own
   /// default one (sampled invariant checks + deadlock watchdog stay on).
@@ -367,8 +356,13 @@ class TransferEngine {
   void StartRingSync(int ring);
   // The position of the running event (plain dispatch).
   StepPos CurrentPos() const;
-  // Runs chain `id`'s next step, which sits at `pos`.
+  // Runs chain `id`'s next step, which sits at `pos`, as an event.
   void RunChainStep(int id, const StepPos& pos);
+  // Applies chain `id`'s next step, at `at`, to its ring and chain: a
+  // sync completion refreshes the sender's view and counts towards the
+  // escape valve, a poll starts the next sync. Both the dispatched and
+  // the parked path run it. False if the chain ended.
+  bool ApplyStep(int id, sim::SimTime at);
   // Schedules chain `id`'s next step at `when`, or parks it. `pred` is
   // the step running now.
   void ContinueChain(int id, bool poll, sim::SimTime when,
@@ -378,8 +372,8 @@ class TransferEngine {
   sim::SimTime StepDelay(int ring, bool poll) const {
     return poll ? options_.poll_interval : rings_[ring].sync_cost;
   }
-  // Applies every parked step of `sender` (of `only_ring` if >= 0) that
-  // sorts before `pos`.
+  // Applies every parked step of `sender` (every sender's if < 0; only
+  // `only_ring`'s if >= 0) that sorts before `pos`.
   void CatchUp(int sender, const StepPos& pos, int only_ring = -1);
   // Catches up every ring of `sender` whose escape valve could have
   // moved packets before `pos`: its transit queue is non-empty (or it is
@@ -388,13 +382,8 @@ class TransferEngine {
   void CatchUpEscapes(int sender, const StepPos& pos, int ring);
   // `freed` as the parked sync completion of chain `id` at `at` saw it.
   std::uint64_t FreedAt(int id, sim::SimTime at) const;
-  void CatchUpAll(const StepPos& pos);
-  // Applies parked chain `id`'s next step. False if the chain ended.
-  bool ApplyParkedStep(int id);
   // Applies the steps of `ring`'s parked chains that sort before `pos`.
   void CatchUpRing(int ring, const StepPos& pos);
-  // Recomputes `sender`'s earliest parked step.
-  void UpdateParkedMin(int sender);
   // Applies, by counting, the steps before `until` of a stable ring's
   // parked chains.
   void ApplyStable(const int* ids, std::size_t n, sim::SimTime until);

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "obs/export.h"
 #include "obs/json.h"
 
 namespace mgjoin::obs {
@@ -22,23 +23,6 @@ void AppendKV(std::string* out, const char* key, const std::string& v) {
 void AppendKV(std::string* out, const char* key, double v) {
   json::AppendQuoted(out, key);
   *out += ": " + json::FormatNumber(v);
-}
-
-std::string ReadWholeFile(const std::string& path, Status* status) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    *status = Status::InvalidArgument("cannot open " + path);
-    return "";
-  }
-  std::string out;
-  char buf[65536];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    out.append(buf, n);
-  }
-  std::fclose(f);
-  *status = Status::OK();
-  return out;
 }
 
 }  // namespace
@@ -385,29 +369,21 @@ int BenchCompareMain(const std::vector<std::string>& args,
         "[--threshold=5%] [--warn-only]\n";
     return 2;
   }
-  Status st;
-  const std::string baseline_text = ReadWholeFile(files[0], &st);
-  if (!st.ok()) {
-    *out += st.ToString() + "\n";
-    return 2;
+  std::vector<BenchDoc> docs;
+  for (const std::string& path : files) {
+    auto text = ReadTextFile(path);
+    if (!text.ok()) {
+      *out += text.status().ToString() + "\n";
+      return 2;
+    }
+    auto doc = BenchDoc::FromJson(text.value());
+    if (!doc.ok()) {
+      *out += path + ": " + doc.status().ToString() + "\n";
+      return 2;
+    }
+    docs.push_back(std::move(doc).value());
   }
-  const std::string candidate_text = ReadWholeFile(files[1], &st);
-  if (!st.ok()) {
-    *out += st.ToString() + "\n";
-    return 2;
-  }
-  auto baseline = BenchDoc::FromJson(baseline_text);
-  if (!baseline.ok()) {
-    *out += files[0] + ": " + baseline.status().ToString() + "\n";
-    return 2;
-  }
-  auto candidate = BenchDoc::FromJson(candidate_text);
-  if (!candidate.ok()) {
-    *out += files[1] + ": " + candidate.status().ToString() + "\n";
-    return 2;
-  }
-  const CompareReport report =
-      CompareBenchDocs(baseline.value(), candidate.value(), options);
+  const CompareReport report = CompareBenchDocs(docs[0], docs[1], options);
   *out += report.text;
   if (report.HasRegression()) {
     *out += warn_only ? "regressions found (warn-only mode)\n"

@@ -339,10 +339,27 @@ Status WriteTextFile(const std::string& path, const std::string& text) {
   if (f == nullptr) {
     return Status::InvalidArgument("cannot open " + path + " for write");
   }
-  const std::size_t n = std::fwrite(text.data(), 1, text.size(), f);
-  const bool ok = n == text.size() && std::fclose(f) == 0;
-  if (!ok) return Status::Internal("short write to " + path);
+  const bool written =
+      std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  // Close even after a short write; buffered data can also fail here.
+  const bool closed = std::fclose(f) == 0;
+  if (!written || !closed) return Status::Internal("cannot write " + path);
   return Status::OK();
+}
+
+Result<std::string> ReadTextFile(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) {
+    return Status::InvalidArgument("cannot open " + path + " for read");
+  }
+  std::string text;
+  char buf[1 << 16];
+  std::size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
+  const bool ok = std::ferror(f) == 0;
+  std::fclose(f);
+  if (!ok) return Status::Internal("read error on " + path);
+  return text;
 }
 
 }  // namespace mgjoin::obs

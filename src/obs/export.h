@@ -66,8 +66,13 @@ Status LintOpenMetrics(const std::string& text);
 /// for plain series).
 std::string TelemetryCsv(const TelemetrySampler& telemetry);
 
-/// Writes `text` to `path` (parent directory must exist).
+/// Writes `text` to `path` (parent directory must exist). Fails when the
+/// file cannot be opened, written or flushed.
 Status WriteTextFile(const std::string& path, const std::string& text);
+
+/// Reads the whole of `path`, byte for byte. Fails when the file cannot
+/// be opened or read.
+Result<std::string> ReadTextFile(const std::string& path);
 
 }  // namespace mgjoin::obs
 

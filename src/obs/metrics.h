@@ -186,11 +186,6 @@ class MetricsRegistry {
     return timelines_;
   }
 
-  /// True if `name` exists (lookup without creating).
-  bool HasCounter(const std::string& name) const {
-    return counters_.count(name) > 0;
-  }
-
   /// Handle accessors: one map lookup now, none per touch.
   CounterHandle counter_handle(const std::string& name) {
     return CounterHandle(&counters_[name]);

@@ -85,10 +85,6 @@ struct LinkReport {
                        : static_cast<double>(busy) /
                              static_cast<double>(window);
   }
-  double AchievedBps(sim::SimTime window) const {
-    const double secs = sim::ToSeconds(window);
-    return secs <= 0 ? 0.0 : static_cast<double>(bytes) / secs;
-  }
   /// Peak bandwidth scaled by the fraction of the window the link was
   /// actually available — a link that was down half the run is judged
   /// against half its nominal peak (fault-injection satellite).

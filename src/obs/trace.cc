@@ -5,6 +5,9 @@
 #include <cstdio>
 #include <numeric>
 
+#include "obs/export.h"
+#include "obs/json.h"
+
 namespace mgjoin::obs {
 
 namespace {
@@ -20,39 +23,13 @@ void AppendMicros(std::string* out, sim::SimTime ps) {
   *out += buf;
 }
 
-void AppendEscaped(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
 void AppendArgs(std::string* out, const TraceRecorder::Args& args) {
   *out += "\"args\":{";
   bool first = true;
   for (const auto& [k, v] : args) {
     if (!first) out->push_back(',');
     first = false;
-    AppendEscaped(out, k);
+    json::AppendQuoted(out, k);
     *out += ":" + std::to_string(v);
   }
   out->push_back('}');
@@ -177,7 +154,7 @@ std::string TraceRecorder::ToJson() const {
     first = false;
     out += "{\"ph\":\"M\",\"pid\":1,\"tid\":" + std::to_string(t) +
            ",\"name\":\"thread_name\",\"args\":{\"name\":";
-    AppendEscaped(&out, tracks_[t]);
+    json::AppendQuoted(&out, tracks_[t]);
     out += "}}";
   }
   for (std::size_t i : order) {
@@ -185,9 +162,9 @@ std::string TraceRecorder::ToJson() const {
     if (!first) out.push_back(',');
     first = false;
     out += "{\"pid\":1,\"tid\":" + std::to_string(e.track) + ",\"name\":";
-    AppendEscaped(&out, e.name);
+    json::AppendQuoted(&out, e.name);
     out += ",\"cat\":";
-    AppendEscaped(&out, e.category);
+    json::AppendQuoted(&out, e.category);
     out += ",\"ts\":";
     AppendMicros(&out, e.ts);
     switch (e.phase) {
@@ -213,17 +190,7 @@ std::string TraceRecorder::ToJson() const {
 }
 
 Status TraceRecorder::WriteFile(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::InvalidArgument("cannot open trace file: " + path);
-  }
-  const std::string json = ToJson();
-  const std::size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  if (written != json.size()) {
-    return Status::Internal("short write to trace file: " + path);
-  }
-  return Status::OK();
+  return WriteTextFile(path, ToJson());
 }
 
 }  // namespace mgjoin::obs

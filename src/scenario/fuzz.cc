@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/export.h"
 #include "scenario/corpus.h"
 #include "topo/topology.h"
 
@@ -163,13 +164,6 @@ void ApplyOneMutation(ScenarioSpec* spec, Rng* rng) {
   }
 }
 
-bool WriteFile(const std::string& path, const std::string& contents) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  const std::size_t n = std::fwrite(contents.data(), 1, contents.size(), f);
-  return std::fclose(f) == 0 && n == contents.size();
-}
-
 }  // namespace
 
 ScenarioSpec MutateSpec(const ScenarioSpec& base, Rng* rng) {
@@ -309,8 +303,13 @@ FuzzResult RunFuzz(const FuzzOptions& opts) {
       const std::string stem = opts.artifact_dir + "/" + failure.minimized.name;
       failure.spec_path = stem + ".scenario";
       failure.trace_path = stem + ".trace.json";
-      WriteFile(failure.spec_path, failure.minimized.ToText());
-      WriteFile(failure.trace_path, min_verdict.trace_json);
+      if (!obs::WriteTextFile(failure.spec_path, failure.minimized.ToText())
+               .ok() ||
+          !obs::WriteTextFile(failure.trace_path, min_verdict.trace_json)
+               .ok()) {
+        failure.spec_path.clear();
+        failure.trace_path.clear();
+      }
     }
     result.failures.push_back(std::move(failure));
   }

@@ -57,7 +57,7 @@ struct FuzzFailure {
   ScenarioSpec original;   ///< the mutant that first failed
   ScenarioSpec minimized;  ///< shrunk repro (still fails)
   std::string verdict_text;  ///< ToText() of the minimized run's verdict
-  std::string spec_path;   ///< artifact paths ("" when writing disabled)
+  std::string spec_path;   ///< artifact paths ("" when not written)
   std::string trace_path;
 };
 

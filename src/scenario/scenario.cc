@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "net/link_state.h"
+#include "obs/export.h"
 #include "topo/presets.h"
 
 namespace mgjoin::scenario {
@@ -332,16 +333,9 @@ Result<ScenarioSpec> LoadScenario(const std::string& text) {
 }
 
 Result<ScenarioSpec> LoadScenarioFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::NotFound("cannot open scenario file " + path);
-  }
-  std::string text;
-  char buf[1 << 14];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
-  std::fclose(f);
-  return LoadScenario(text);
+  auto text = obs::ReadTextFile(path);
+  if (!text.ok()) return text.status();
+  return LoadScenario(text.value());
 }
 
 }  // namespace mgjoin::scenario

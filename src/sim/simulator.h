@@ -155,11 +155,6 @@ class Simulator {
     next_observation_ = (now_ / interval + 1) * interval;
   }
 
-  void ClearObserver() {
-    observer_ = nullptr;
-    observer_interval_ = 0;
-  }
-
   bool Empty() const {
     return kind_ == QueueKind::kCalendar ? calendar_.Empty() : heap_.Empty();
   }

@@ -534,20 +534,12 @@ int CmdReport(int argc, char** argv) {
   }
   const Args args = ParseArgs(argc, argv, 3);
   if (!KnownFlags("report", args, {"timeline", "saturation"})) return 1;
-  std::FILE* f = std::fopen(argv[2], "rb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", argv[2]);
+  const auto text = obs::ReadTextFile(argv[2]);
+  if (!text.ok()) {
+    std::fprintf(stderr, "%s\n", text.status().ToString().c_str());
     return 1;
   }
-  std::string text;
-  char buf[1 << 16];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    text.append(buf, n);
-  }
-  std::fclose(f);
-
-  auto events = obs::report::EventsFromTraceJson(text);
+  auto events = obs::report::EventsFromTraceJson(text.value());
   if (!events.ok()) {
     std::fprintf(stderr, "bad trace: %s\n",
                  events.status().ToString().c_str());
@@ -604,13 +596,12 @@ int CmdScenario(int argc, char** argv) {
                 verdict.ToText().c_str());
     const std::string trace_path = args.Get("trace", "");
     if (!trace_path.empty() && !verdict.trace_json.empty()) {
-      std::FILE* f = std::fopen(trace_path.c_str(), "wb");
-      if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", trace_path.c_str());
+      const Status st = obs::WriteTextFile(trace_path, verdict.trace_json);
+      if (!st.ok()) {
+        std::fprintf(stderr, "trace write failed: %s\n",
+                     st.ToString().c_str());
         return 1;
       }
-      std::fwrite(verdict.trace_json.data(), 1, verdict.trace_json.size(), f);
-      std::fclose(f);
       std::printf("trace written to %s\n", trace_path.c_str());
     }
     return verdict.passed ? 0 : 1;

@@ -23,19 +23,13 @@ int main(int argc, char** argv) {
   }
   int status = 0;
   for (int i = 1; i < argc; ++i) {
-    std::FILE* f = std::fopen(argv[i], "rb");
-    if (f == nullptr) {
-      std::fprintf(stderr, "om_lint: cannot open %s\n", argv[i]);
+    const auto read = mgjoin::obs::ReadTextFile(argv[i]);
+    if (!read.ok()) {
+      std::fprintf(stderr, "om_lint: %s\n", read.status().ToString().c_str());
       status = 1;
       continue;
     }
-    std::string text;
-    char buf[1 << 16];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-      text.append(buf, n);
-    }
-    std::fclose(f);
+    const std::string& text = read.value();
     const mgjoin::Status st = mgjoin::obs::LintOpenMetrics(text);
     if (!st.ok()) {
       std::fprintf(stderr, "om_lint: %s: %s\n", argv[i],

@@ -137,7 +137,6 @@ const char* LinkHealthName(LinkHealth health) {
 void LinkAvailabilityView::Reset(int num_links) {
   states_.assign(static_cast<std::size_t>(num_links), State{});
   down_links_ = 0;
-  epoch_ = 0;
 }
 
 void LinkAvailabilityView::SetHealth(int link_id, LinkHealth health,
@@ -156,7 +155,6 @@ void LinkAvailabilityView::SetHealth(int link_id, LinkHealth health,
     st.factor = health == LinkHealth::kDown ? 0.0 : 1.0;
   }
   if (health == LinkHealth::kDown) ++down_links_;
-  ++epoch_;
 }
 
 double LinkAvailabilityView::Factor(int link_id) const {

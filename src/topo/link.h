@@ -92,8 +92,7 @@ const char* LinkHealthName(LinkHealth health);
 ///
 /// The topology graph never changes at runtime; faults are expressed as
 /// this separate view, owned by the link scheduler and consulted by the
-/// routing policies. `epoch()` increments on every state change, so
-/// cached route decisions can be invalidated cheaply.
+/// routing policies.
 class LinkAvailabilityView {
  public:
   /// Sizes the view for `num_links` links, all initially up.
@@ -119,9 +118,6 @@ class LinkAvailabilityView {
   bool AllUp() const { return down_links_ == 0; }
   int down_links() const { return down_links_; }
 
-  /// Number of state transitions applied so far (route-validity epoch).
-  std::uint64_t epoch() const { return epoch_; }
-
  private:
   struct State {
     LinkHealth health = LinkHealth::kUp;
@@ -129,7 +125,6 @@ class LinkAvailabilityView {
   };
   std::vector<State> states_;
   int down_links_ = 0;
-  std::uint64_t epoch_ = 0;
 };
 
 }  // namespace mgjoin::topo

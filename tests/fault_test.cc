@@ -192,11 +192,10 @@ TEST_F(FaultPlanTest, ToStringNamesEveryEvent) {
 // ---------------------------------------------------------------------------
 // LinkAvailabilityView.
 
-TEST(AvailabilityViewTest, TransitionsTrackEpochAndFactor) {
+TEST(AvailabilityViewTest, TransitionsTrackDownLinksAndFactor) {
   topo::LinkAvailabilityView view;
   view.Reset(4);
   EXPECT_TRUE(view.AllUp());
-  EXPECT_EQ(view.epoch(), 0u);
   EXPECT_DOUBLE_EQ(view.Factor(2), 1.0);
 
   view.SetHealth(2, topo::LinkHealth::kDown);
@@ -204,7 +203,6 @@ TEST(AvailabilityViewTest, TransitionsTrackEpochAndFactor) {
   EXPECT_EQ(view.down_links(), 1);
   EXPECT_FALSE(view.Up(2));
   EXPECT_DOUBLE_EQ(view.Factor(2), 0.0);
-  EXPECT_EQ(view.epoch(), 1u);
 
   view.SetHealth(2, topo::LinkHealth::kDegraded, 0.25);
   EXPECT_TRUE(view.AllUp());  // degraded links still carry traffic
@@ -213,7 +211,7 @@ TEST(AvailabilityViewTest, TransitionsTrackEpochAndFactor) {
 
   view.SetHealth(2, topo::LinkHealth::kUp);
   EXPECT_DOUBLE_EQ(view.Factor(2), 1.0);
-  EXPECT_EQ(view.epoch(), 3u);
+  EXPECT_EQ(view.down_links(), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -236,12 +234,10 @@ class LinkFaultTest : public ::testing::Test {
 
 TEST_F(LinkFaultTest, DownLinkBlocksChannelsAndRoutes) {
   LinkStateTable links(&sim_, topo_.get());
-  const std::uint64_t epoch0 = links.route_epoch();
   Apply(links, "down:gpu0-gpu3:@1ms");
 
   EXPECT_EQ(links.fault_events_applied(), 1u);
   EXPECT_EQ(links.pending_fault_events(), 0);
-  EXPECT_GT(links.route_epoch(), epoch0);
   EXPECT_FALSE(links.LinkUp(LinkId(*topo_, "gpu0-gpu3")));
   EXPECT_FALSE(links.ChannelAvailable(topo_->channel(0, 3)));
   EXPECT_FALSE(links.RouteAvailable(Route{{0, 3}}));

@@ -6,6 +6,7 @@
 
 #include <cctype>
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <string>
 #include <string_view>
@@ -18,6 +19,7 @@
 #include "net/routing_policy.h"
 #include "net/transfer_engine.h"
 #include "obs/audit.h"
+#include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
@@ -402,6 +404,34 @@ TEST(TraceTest, JoinTraceCarriesPhaseSpans) {
 TEST(TraceTest, WriteFileRejectsBadPath) {
   TraceRecorder tr;
   EXPECT_FALSE(tr.WriteFile("/nonexistent-dir/trace.json").ok());
+}
+
+TEST(TraceTest, WriteFileReportsFailedFlush) {
+  // /dev/full accepts the open and the buffered write; only the flush at
+  // close fails, and that failure must reach the caller.
+  TraceRecorder tr;
+  tr.Instant(tr.Track("t"), "test", "x", 0);
+  EXPECT_FALSE(tr.WriteFile("/dev/full").ok());
+}
+
+TEST(TextFileTest, RoundTripsEveryByteAndReportsFailures) {
+  const std::string path = ::testing::TempDir() + "/bytes.bin";
+  std::string text = "a\x80\xff";
+  text.push_back('\0');
+  text += "b\n";
+  ASSERT_TRUE(WriteTextFile(path, text).ok());
+  auto read = ReadTextFile(path);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read.value(), text);
+  std::remove(path.c_str());
+
+  const std::string missing = ::testing::TempDir() + "/no-such-file.json";
+  auto none = ReadTextFile(missing);
+  ASSERT_FALSE(none.ok());
+  EXPECT_NE(none.status().ToString().find(missing), std::string::npos);
+
+  // Larger than the stdio buffer: fwrite itself comes up short.
+  EXPECT_FALSE(WriteTextFile("/dev/full", std::string(1 << 20, 'x')).ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@
 #include "join/mg_join.h"
 #include "net/fault_plan.h"
 #include "obs/bench_json.h"
+#include "obs/export.h"
 #include "obs/json.h"
 #include "obs/report.h"
 #include "obs/trace.h"
@@ -498,15 +499,8 @@ TEST(BenchCompareTest, MainExitCodesAndThresholdFlag) {
   BenchDoc cand = MakeDoc();
   cand.series[0].points[0].y = 9.0;  // -10% on higher-is-better
 
-  auto write = [](const std::string& path, const BenchDoc& doc) {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    const std::string json = doc.ToJson();
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-  };
-  write(base_path, base);
-  write(cand_path, cand);
+  ASSERT_TRUE(WriteTextFile(base_path, base.ToJson()).ok());
+  ASSERT_TRUE(WriteTextFile(cand_path, cand.ToJson()).ok());
 
   std::string out;
   EXPECT_EQ(BenchCompareMain({base_path, cand_path, "--threshold=5%"},
@@ -532,6 +526,9 @@ TEST(BenchCompareTest, MainExitCodesAndThresholdFlag) {
             2);
   EXPECT_EQ(BenchCompareMain({base_path}, &out), 2);
   EXPECT_EQ(BenchCompareMain({base_path, dir + "/missing.json"}, &out), 2);
+  out.clear();
+  EXPECT_EQ(BenchCompareMain({dir + "/missing.json", cand_path}, &out), 2);
+  EXPECT_NE(out.find("missing.json"), std::string::npos) << out;
 }
 
 // ---------------------------------------------------------------------------
