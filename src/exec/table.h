@@ -1,6 +1,7 @@
 #ifndef MGJOIN_EXEC_TABLE_H_
 #define MGJOIN_EXEC_TABLE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <span>
@@ -94,13 +95,19 @@ struct DistTable {
 /// Days since 1970-01-01 for a calendar date (proleptic Gregorian).
 std::int32_t DateToDays(int year, int month, int day);
 
+/// Pairs per GatherPairs morsel (the ParallelForChunked grain).
+inline constexpr std::size_t kGatherMorsel = 16384;
+
 /// \brief Gathers the rows of a join's matched pairs into one table.
 ///
 /// Each pair addresses a left and a right row by global row id (shards
 /// stacked in order, as Engine::HashJoin numbers them). Output row `i`
 /// holds `left_cols` of `pairs[i].first` followed by `right_cols` of
-/// `pairs[i].second`, so pair order is kept. Runs one column at a time
-/// and charges no simulated time.
+/// `pairs[i].second`, so pair order is kept. Runs over fixed morsels of
+/// kGatherMorsel pairs on the default thread pool; each morsel fills its
+/// slice of every column, so the output does not depend on the thread
+/// count. A row id past the end of its table is fatal. Charges no
+/// simulated time.
 Table GatherPairs(
     const DistTable& left, const DistTable& right,
     std::span<const std::pair<std::uint32_t, std::uint32_t>> pairs,

@@ -20,7 +20,11 @@ using exec::Table;
 // MG-Join and evaluate predicates as residuals (Sec 5.4: "GPU versions
 // of 6 TPC-H queries that make use of MG-Join"); selections are applied
 // during the final aggregation pass. Projections still prune columns
-// before the shuffle.
+// before the shuffle. Each residual gathers its predicate columns for
+// every matched pair, keeps the qualifying pairs, and gathers the value
+// and group columns for those only.
+
+using Pairs = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
 
 double VirtualScale(const Engine& eng) {
   return eng.options().join.virtual_scale;
@@ -56,6 +60,18 @@ void ChargeAggregation(Engine& eng, std::size_t pair_count,
       eng.num_gpus(),
       static_cast<std::uint64_t>(pair_count) * row_bytes /
           static_cast<std::uint64_t>(eng.num_gpus())));
+}
+
+// The pairs whose residual row `i` passes `keep(i)`, in pair order, so
+// sums over them add the same terms in the same order as a pass over
+// all pairs that skips the others.
+template <typename Keep>
+Pairs SelectPairs(const Pairs& pairs, Keep keep) {
+  Pairs kept;
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    if (keep(i)) kept.push_back(pairs[i]);
+  }
+  return kept;
 }
 
 // Sum of the `k` largest group values, added largest first.
@@ -107,20 +123,22 @@ Result<QueryOutput> RunQ3(Engine& eng, const TpchData& db) {
   CountJoin(j2, &out.ops);
 
   // Residual predicates + group by (orderkey, orderdate, shippriority).
-  const Table m = GatherPairs(
-      co, l, j2.pairs, {"c_mktsegment", "o_orderdate", "o_orderkey"},
-      {"l_shipdate", "l_extendedprice", "l_discount"});
-  const auto& segment = m.col("c_mktsegment").ints;
-  const auto& orderdate = m.col("o_orderdate").ints;
+  const Table f = GatherPairs(co, l, j2.pairs,
+                              {"c_mktsegment", "o_orderdate"}, {"l_shipdate"});
+  const auto& segment = f.col("c_mktsegment").ints;
+  const auto& orderdate = f.col("o_orderdate").ints;
+  const auto& shipdate = f.col("l_shipdate").ints;
+  const Pairs hits = SelectPairs(j2.pairs, [&](std::size_t i) {
+    return segment[i] == codes::kSegBuilding && orderdate[i] < cutoff &&
+           shipdate[i] > cutoff;
+  });
+  const Table m = GatherPairs(co, l, hits, {"o_orderkey"},
+                              {"l_extendedprice", "l_discount"});
   const auto& orderkey = m.col("o_orderkey").ints;
-  const auto& shipdate = m.col("l_shipdate").ints;
   const auto& price = m.col("l_extendedprice").doubles;
   const auto& discount = m.col("l_discount").doubles;
   std::unordered_map<std::int64_t, double> revenue;
-  for (std::size_t i = 0; i < m.rows(); ++i) {
-    if (segment[i] != codes::kSegBuilding) continue;
-    if (orderdate[i] >= cutoff) continue;
-    if (shipdate[i] <= cutoff) continue;
+  for (std::size_t i = 0; i < hits.size(); ++i) {
     revenue[orderkey[i]] += price[i] * (1.0 - discount[i]);
   }
   ChargeAggregation(eng, j2.pairs.size(), 32);
@@ -192,23 +210,24 @@ Result<QueryOutput> RunQ5(Engine& eng, const TpchData& db) {
   CountJoin(j3, &out.ops);
 
   // Residual predicates; group by nation.
-  const Table m = GatherPairs(
-      col, s, j3.pairs,
-      {"c_nationkey", "o_orderdate", "l_extendedprice", "l_discount"},
-      {"s_nationkey"});
-  const auto& cust_nation = m.col("c_nationkey").ints;
-  const auto& orderdate = m.col("o_orderdate").ints;
+  const Table f = GatherPairs(col, s, j3.pairs,
+                              {"c_nationkey", "o_orderdate"}, {"s_nationkey"});
+  const auto& cust_nation = f.col("c_nationkey").ints;
+  const auto& orderdate = f.col("o_orderdate").ints;
+  const auto& supp_nation = f.col("s_nationkey").ints;
+  const Pairs hits = SelectPairs(j3.pairs, [&](std::size_t i) {
+    const std::int64_t sn = supp_nation[i];
+    return cust_nation[i] == sn && in_asia[static_cast<std::size_t>(sn)] &&
+           orderdate[i] >= lo && orderdate[i] < hi;
+  });
+  const Table m = GatherPairs(col, s, hits, {"l_extendedprice", "l_discount"},
+                              {"s_nationkey"});
   const auto& price = m.col("l_extendedprice").doubles;
   const auto& discount = m.col("l_discount").doubles;
-  const auto& supp_nation = m.col("s_nationkey").ints;
+  const auto& nation = m.col("s_nationkey").ints;
   std::map<std::int64_t, double> by_nation;
-  for (std::size_t i = 0; i < m.rows(); ++i) {
-    const std::int64_t sn = supp_nation[i];
-    if (cust_nation[i] != sn || !in_asia[static_cast<std::size_t>(sn)]) {
-      continue;
-    }
-    if (orderdate[i] < lo || orderdate[i] >= hi) continue;
-    by_nation[sn] += price[i] * (1.0 - discount[i]);
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    by_nation[nation[i]] += price[i] * (1.0 - discount[i]);
   }
   ChargeAggregation(eng, j3.pairs.size(), 36);
 
@@ -255,18 +274,21 @@ Result<QueryOutput> RunQ10(Engine& eng, const TpchData& db) {
                        eng.HashJoin(c, "c_custkey", ol, "o_custkey"));
   CountJoin(j2, &out.ops);
 
-  const Table m = GatherPairs(
-      c, ol, j2.pairs, {"c_custkey"},
-      {"l_returnflag", "o_orderdate", "l_extendedprice", "l_discount"});
+  const Table f = GatherPairs(c, ol, j2.pairs, {},
+                              {"l_returnflag", "o_orderdate"});
+  const auto& returnflag = f.col("l_returnflag").ints;
+  const auto& orderdate = f.col("o_orderdate").ints;
+  const Pairs hits = SelectPairs(j2.pairs, [&](std::size_t i) {
+    return returnflag[i] == codes::kFlagR && orderdate[i] >= lo &&
+           orderdate[i] < hi;
+  });
+  const Table m = GatherPairs(c, ol, hits, {"c_custkey"},
+                              {"l_extendedprice", "l_discount"});
   const auto& custkey = m.col("c_custkey").ints;
-  const auto& returnflag = m.col("l_returnflag").ints;
-  const auto& orderdate = m.col("o_orderdate").ints;
   const auto& price = m.col("l_extendedprice").doubles;
   const auto& discount = m.col("l_discount").doubles;
   std::unordered_map<std::int64_t, double> by_customer;
-  for (std::size_t i = 0; i < m.rows(); ++i) {
-    if (returnflag[i] != codes::kFlagR) continue;
-    if (orderdate[i] < lo || orderdate[i] >= hi) continue;
+  for (std::size_t i = 0; i < hits.size(); ++i) {
     by_customer[custkey[i]] += price[i] * (1.0 - discount[i]);
   }
   ChargeAggregation(eng, j2.pairs.size(), 32);
@@ -300,29 +322,32 @@ Result<QueryOutput> RunQ12(Engine& eng, const TpchData& db) {
                        eng.HashJoin(o, "o_orderkey", l, "l_orderkey"));
   CountJoin(j1, &out.ops);
 
-  const Table m = GatherPairs(
-      o, l, j1.pairs, {"o_orderpriority"},
+  const Table f = GatherPairs(
+      o, l, j1.pairs, {},
       {"l_shipmode", "l_commitdate", "l_receiptdate", "l_shipdate"});
-  const auto& priority = m.col("o_orderpriority").ints;
-  const auto& shipmode = m.col("l_shipmode").ints;
-  const auto& commitdate = m.col("l_commitdate").ints;
-  const auto& receiptdate = m.col("l_receiptdate").ints;
-  const auto& shipdate = m.col("l_shipdate").ints;
-  // mode -> (high count, low count).
-  std::map<std::int64_t, std::pair<std::uint64_t, std::uint64_t>> counts;
-  for (std::size_t i = 0; i < m.rows(); ++i) {
+  const auto& shipmode = f.col("l_shipmode").ints;
+  const auto& commitdate = f.col("l_commitdate").ints;
+  const auto& receiptdate = f.col("l_receiptdate").ints;
+  const auto& shipdate = f.col("l_shipdate").ints;
+  const Pairs hits = SelectPairs(j1.pairs, [&](std::size_t i) {
     const std::int64_t mode = shipmode[i];
-    if (mode != codes::kModeMail && mode != codes::kModeShip) continue;
     const std::int64_t commit = commitdate[i];
     const std::int64_t receipt = receiptdate[i];
-    if (!(commit < receipt && shipdate[i] < commit && receipt >= lo &&
-          receipt < hi)) {
-      continue;
-    }
+    return (mode == codes::kModeMail || mode == codes::kModeShip) &&
+           commit < receipt && shipdate[i] < commit && receipt >= lo &&
+           receipt < hi;
+  });
+  const Table m =
+      GatherPairs(o, l, hits, {"o_orderpriority"}, {"l_shipmode"});
+  const auto& priority = m.col("o_orderpriority").ints;
+  const auto& mode = m.col("l_shipmode").ints;
+  // mode -> (high count, low count).
+  std::map<std::int64_t, std::pair<std::uint64_t, std::uint64_t>> counts;
+  for (std::size_t i = 0; i < hits.size(); ++i) {
     if (priority[i] <= 1) {  // 1-URGENT, 2-HIGH
-      ++counts[mode].first;
+      ++counts[mode[i]].first;
     } else {
-      ++counts[mode].second;
+      ++counts[mode[i]].second;
     }
   }
   ChargeAggregation(eng, j1.pairs.size(), 24);
@@ -360,16 +385,18 @@ Result<QueryOutput> RunQ14(Engine& eng, const TpchData& db) {
                        eng.HashJoin(p, "p_partkey", l, "l_partkey"));
   CountJoin(j1, &out.ops);
 
-  const Table m =
-      GatherPairs(p, l, j1.pairs, {"p_type"},
-                  {"l_shipdate", "l_extendedprice", "l_discount"});
+  const Table f = GatherPairs(p, l, j1.pairs, {}, {"l_shipdate"});
+  const auto& shipdate = f.col("l_shipdate").ints;
+  const Pairs hits = SelectPairs(j1.pairs, [&](std::size_t i) {
+    return shipdate[i] >= lo && shipdate[i] < hi;
+  });
+  const Table m = GatherPairs(p, l, hits, {"p_type"},
+                              {"l_extendedprice", "l_discount"});
   const auto& type = m.col("p_type").ints;
-  const auto& shipdate = m.col("l_shipdate").ints;
   const auto& price = m.col("l_extendedprice").doubles;
   const auto& discount = m.col("l_discount").doubles;
   double promo = 0, total = 0;
-  for (std::size_t i = 0; i < m.rows(); ++i) {
-    if (shipdate[i] < lo || shipdate[i] >= hi) continue;
+  for (std::size_t i = 0; i < hits.size(); ++i) {
     const double rev = price[i] * (1.0 - discount[i]);
     total += rev;
     if (type[i] < codes::kNumPromoTypes) promo += rev;
@@ -417,24 +444,19 @@ Result<QueryOutput> RunQ19(Engine& eng, const TpchData& db) {
            c == codes::kContLgPack || c == codes::kContLgPkg;
   };
 
-  const Table m = GatherPairs(
+  const Table f = GatherPairs(
       p, l, j1.pairs, {"p_brand", "p_size", "p_container"},
-      {"l_shipmode", "l_shipinstruct", "l_quantity", "l_extendedprice",
-       "l_discount"});
-  const auto& brands = m.col("p_brand").ints;
-  const auto& sizes = m.col("p_size").ints;
-  const auto& containers = m.col("p_container").ints;
-  const auto& shipmode = m.col("l_shipmode").ints;
-  const auto& shipinstruct = m.col("l_shipinstruct").ints;
-  const auto& quantity = m.col("l_quantity").doubles;
-  const auto& price = m.col("l_extendedprice").doubles;
-  const auto& discount = m.col("l_discount").doubles;
-  double revenue = 0;
-  std::uint64_t qualified = 0;
-  for (std::size_t i = 0; i < m.rows(); ++i) {
+      {"l_shipmode", "l_shipinstruct", "l_quantity"});
+  const auto& brands = f.col("p_brand").ints;
+  const auto& sizes = f.col("p_size").ints;
+  const auto& containers = f.col("p_container").ints;
+  const auto& shipmode = f.col("l_shipmode").ints;
+  const auto& shipinstruct = f.col("l_shipinstruct").ints;
+  const auto& quantity = f.col("l_quantity").doubles;
+  const Pairs hits = SelectPairs(j1.pairs, [&](std::size_t i) {
     const std::int64_t mode = shipmode[i];
-    if (mode != codes::kModeAir && mode != codes::kModeAirReg) continue;
-    if (shipinstruct[i] != codes::kInstrDeliverInPerson) continue;
+    if (mode != codes::kModeAir && mode != codes::kModeAirReg) return false;
+    if (shipinstruct[i] != codes::kInstrDeliverInPerson) return false;
     const std::int64_t brand = brands[i];
     const std::int64_t size = sizes[i];
     const std::int64_t cont = containers[i];
@@ -445,15 +467,21 @@ Result<QueryOutput> RunQ19(Engine& eng, const TpchData& db) {
                     qty >= 10 && qty <= 20 && size >= 1 && size <= 10;
     const bool c3 = brand == codes::BrandCode(3, 4) && in_lg(cont) &&
                     qty >= 20 && qty <= 30 && size >= 1 && size <= 15;
-    if (!(c1 || c2 || c3)) continue;
-    ++qualified;
+    return c1 || c2 || c3;
+  });
+  const Table m =
+      GatherPairs(p, l, hits, {}, {"l_extendedprice", "l_discount"});
+  const auto& price = m.col("l_extendedprice").doubles;
+  const auto& discount = m.col("l_discount").doubles;
+  double revenue = 0;
+  for (std::size_t i = 0; i < hits.size(); ++i) {
     revenue += price[i] * (1.0 - discount[i]);
   }
   ChargeAggregation(eng, j1.pairs.size(), 32);
 
   out.result_rows = 1;
   out.value = revenue;
-  out.ops.rows_out = static_cast<double>(qualified) * vs;
+  out.ops.rows_out = static_cast<double>(hits.size()) * vs;
   out.time = eng.elapsed();
   return out;
 }

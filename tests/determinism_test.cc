@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "data/compression.h"
 #include "data/generator.h"
 #include "data/relation.h"
+#include "exec/engine.h"
 #include "join/local_join.h"
 #include "join/mg_join.h"
 #include "net/fault_plan.h"
@@ -24,6 +26,8 @@
 #include "obs/trace.h"
 #include "svc/service.h"
 #include "topo/presets.h"
+#include "tpch/dbgen.h"
+#include "tpch/queries.h"
 
 namespace mgjoin {
 namespace {
@@ -328,6 +332,43 @@ TEST(DeterminismTest, LocalJoinPairOrderMatchesSerial) {
         << t;
     EXPECT_TRUE(par.pairs == serial.pairs) << t;
   }
+  ThreadPool::SetDefaultThreads(0);
+}
+
+// The six TPC-H queries under both join backends, as bit patterns of
+// every output field. At SF 0.02 on 2 GPUs the lineitem joins match
+// ~120K pairs, so each MaterializeJoin output shard and each residual
+// gather spans several GatherPairs morsels.
+std::vector<std::uint64_t> TpchOutputBits(const tpch::TpchData& db,
+                                          std::size_t threads) {
+  ThreadPool::SetDefaultThreads(threads);
+  auto topo = topo::MakeDgx1V();
+  const auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
+  std::vector<std::uint64_t> out;
+  for (const bool dprj : {false, true}) {
+    exec::EngineOptions opts;
+    if (dprj) opts.join = join::MgJoinOptions::Dprj();
+    opts.join.virtual_scale = 12500.0;  // virtual SF 250
+    for (const auto& [name, fn] : tpch::AllQueries()) {
+      exec::Engine eng(topo.get(), topo::FirstNGpus(2), opts);
+      const tpch::QueryOutput q = fn(eng, db).ValueOrDie();
+      const tpch::OpCounts& ops = q.ops;
+      out.insert(out.end(),
+                 {bits(q.value), q.result_rows, q.time,
+                  bits(ops.rows_scanned), bits(ops.rows_joined),
+                  bits(ops.join_output_rows), bits(ops.rows_out),
+                  bits(ops.replicated_bytes), bits(ops.replicated_rows),
+                  bits(ops.local_bytes)});
+    }
+  }
+  return out;
+}
+
+TEST(DeterminismTest, TpchQueriesInvariantAcrossThreadCounts) {
+  const tpch::TpchData db = tpch::GenerateTpch(0.02, 2);
+  const std::vector<std::uint64_t> base = TpchOutputBits(db, 1);
+  ASSERT_EQ(base.size(), 2 * 6 * 10u);
+  EXPECT_EQ(TpchOutputBits(db, 8), base);
   ThreadPool::SetDefaultThreads(0);
 }
 

@@ -8,12 +8,15 @@
 #include <utility>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "exec/engine.h"
 #include "exec/table.h"
 #include "topo/presets.h"
 
 namespace mgjoin::exec {
 namespace {
+
+using Pair = std::pair<std::uint32_t, std::uint32_t>;
 
 DistTable MakeKv(int shards, const std::vector<std::int64_t>& keys,
                  const std::vector<std::int64_t>& values) {
@@ -96,6 +99,49 @@ TEST(TableTest, GatherPairsKeepsPairOrderAcrossUnevenShards) {
   const Table right_only = GatherPairs(left, right, pairs, {}, {"r"});
   EXPECT_EQ(right_only.column_names(), std::vector<std::string>{"r"});
   EXPECT_EQ(right_only.col("r").ints[0], 200);
+}
+
+// The values of column `name` at global rows `ids`, found one row at a
+// time by walking the shards in order.
+template <typename T>
+std::vector<T> ReferenceGather(const DistTable& t, const std::string& name,
+                               std::vector<T> Column::*values,
+                               const std::vector<std::uint32_t>& ids) {
+  std::vector<T> out;
+  for (std::uint32_t id : ids) {
+    std::size_t s = 0;
+    while (id >= t.shards[s].rows()) id -= t.shards[s++].rows();
+    out.push_back((t.shards[s].col(name).*values)[id]);
+  }
+  return out;
+}
+
+// `n` pairs that address every row of both sides in a scattered order.
+std::vector<Pair> ScatteredPairs(std::size_t n, std::uint32_t left_rows,
+                                 std::uint32_t right_rows) {
+  std::vector<Pair> pairs(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    pairs[i] = {static_cast<std::uint32_t>(i * 7919 % left_rows),
+                static_cast<std::uint32_t>(i * 104729 % right_rows)};
+  }
+  return pairs;
+}
+
+TEST(GatherPairsDeathTest, OutOfRangeRowDies) {
+  // The range check runs inside a morsel, here the last of three, which
+  // may be on a pool worker. Threadsafe style: a forked child has no
+  // pool workers, so a ParallelFor in it could hang.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const DistTable left = MakeStacked({2, 0, 3}, "l", "lx", 0);
+  const DistTable right = MakeStacked({1}, "r", "rx", 0);
+  std::vector<Pair> pairs(3 * kGatherMorsel, Pair{4, 0});
+  pairs.back().first = 5;  // one past the last left row
+  EXPECT_DEATH(
+      {
+        ThreadPool::SetDefaultThreads(8);
+        GatherPairs(left, right, pairs, {"l"}, {"r"});
+      },
+      "row 5 out of range");
 }
 
 class EngineTest : public ::testing::Test {
@@ -201,6 +247,56 @@ TEST_F(EngineTest, MaterializeJoinPlacesRowIOnShardIModG) {
   Engine ref = MakeEngine(kGpus);
   ref.ChargeGather(std::vector<std::uint64_t>(kGpus, 7 * 16 / kGpus));
   EXPECT_EQ(eng.elapsed(), ref.elapsed());
+}
+
+TEST_F(EngineTest, GatherPairsIsThreadCountInvariant) {
+  // Uneven shards, one of them empty, and pairs covering six full
+  // morsels plus a partial one.
+  const DistTable left = MakeStacked({20011, 0, 7, 31000}, "l", "lx", 100);
+  const DistTable right = MakeStacked({3, 40009, 11}, "r", "rx", 200);
+  const std::vector<Pair> pairs =
+      ScatteredPairs(6 * kGatherMorsel + 5000, left.rows(), right.rows());
+  std::vector<std::uint32_t> left_ids, right_ids;
+  for (const auto& [l, r] : pairs) {
+    left_ids.push_back(l);
+    right_ids.push_back(r);
+  }
+  const auto want_l = ReferenceGather(left, "l", &Column::ints, left_ids);
+  const auto want_lx =
+      ReferenceGather(left, "lx", &Column::doubles, left_ids);
+  const auto want_r = ReferenceGather(right, "r", &Column::ints, right_ids);
+  const auto want_rx =
+      ReferenceGather(right, "rx", &Column::doubles, right_ids);
+  for (const std::size_t threads : {1, 8}) {
+    ThreadPool::SetDefaultThreads(threads);
+    const Table out =
+        GatherPairs(left, right, pairs, {"lx", "l"}, {"r", "rx"});
+    EXPECT_EQ(out.col("l").ints, want_l) << threads;
+    EXPECT_EQ(out.col("lx").doubles, want_lx) << threads;
+    EXPECT_EQ(out.col("r").ints, want_r) << threads;
+    EXPECT_EQ(out.col("rx").doubles, want_rx) << threads;
+    // One side with no columns.
+    const Table right_only = GatherPairs(left, right, pairs, {}, {"rx"});
+    EXPECT_EQ(right_only.column_names(), std::vector<std::string>{"rx"});
+    EXPECT_EQ(right_only.col("rx").doubles, want_rx) << threads;
+
+    // MaterializeJoin: each of 3 output shards gathers two full morsels
+    // plus a partial one, and row `i` lands on shard `i % 3`.
+    Engine eng = MakeEngine(3);
+    const DistTable m = eng.MaterializeJoin(left, right, pairs, {"l"},
+                                            {"rx"});
+    ASSERT_EQ(m.num_shards(), 3);
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      const Table& shard = m.shards[i % 3];
+      ASSERT_EQ(shard.col("l").ints[i / 3], want_l[i]) << threads << " " << i;
+      ASSERT_EQ(shard.col("rx").doubles[i / 3], want_rx[i])
+          << threads << " " << i;
+    }
+    Engine ref = MakeEngine(3);
+    ref.ChargeGather(std::vector<std::uint64_t>(3, pairs.size() * 16 / 3));
+    EXPECT_EQ(eng.elapsed(), ref.elapsed()) << threads;
+  }
+  ThreadPool::SetDefaultThreads(0);
 }
 
 TEST_F(EngineTest, MaterializeJoinOfNoPairsKeepsColumnTypes) {
