@@ -28,18 +28,12 @@ svc::ServiceResult RunService(const topo::Topology* topo,
   env.Attach(&opts.join.transfer, *topo);
   const std::size_t mark = env.EventsRecorded();
 
-  std::vector<svc::QuerySpec> queries;
-  for (int q = 0; q < kQueries; ++q) {
-    svc::QuerySpec qs;
-    qs.query_id = static_cast<std::uint64_t>(q + 1);
-    qs.gen.tuples_per_relation =
-        ScaledTuplesPerGpu() * static_cast<std::uint64_t>(gpus.size());
-    qs.gen.num_gpus = static_cast<int>(gpus.size());
-    qs.gen.seed = 42 + static_cast<std::uint64_t>(q);
-    qs.priority = q % 3;
-    qs.submit_at = 0;
-    queries.push_back(qs);
-  }
+  data::GenOptions gen;
+  gen.tuples_per_relation =
+      ScaledTuplesPerGpu() * static_cast<std::uint64_t>(gpus.size());
+  gen.num_gpus = static_cast<int>(gpus.size());
+  const std::vector<svc::QuerySpec> queries =
+      svc::TenantQueries(gen, kQueries);
 
   svc::QueryScheduler sched(topo, gpus, opts);
   svc::ServiceResult res = sched.Run(queries).ValueOrDie();

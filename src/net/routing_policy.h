@@ -4,8 +4,10 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/name_table.h"
 #include "net/link_state.h"
 #include "sim/simulator.h"
 #include "topo/topology.h"
@@ -23,6 +25,29 @@ enum class PolicyKind {
 };
 
 const char* PolicyKindName(PolicyKind kind);
+
+/// The routing-policy names `mgjoin --policy` and a scenario spec's
+/// `policy` accept. The scenario fuzzer draws by index, so the order is
+/// part of its reproducibility.
+struct PolicyName {
+  const char* name;
+  PolicyKind kind;
+};
+inline constexpr PolicyName kPolicyNames[] = {
+    {"adaptive", PolicyKind::kAdaptive},
+    {"direct", PolicyKind::kDirect},
+    {"bandwidth", PolicyKind::kBandwidth},
+    {"hopcount", PolicyKind::kHopCount},
+    {"latency", PolicyKind::kLatency},
+    {"centralized", PolicyKind::kCentralized},
+};
+
+/// Parses kPolicyNames' vocabulary; false on unknown input.
+inline bool ParsePolicy(std::string_view text, PolicyKind* out) {
+  const PolicyName* p = FindName(kPolicyNames, text);
+  if (p != nullptr) *out = p->kind;
+  return p != nullptr;
+}
 
 /// Per-(src, dst) candidate cache shared by every policy (defined in
 /// routing_policy.cc; DESIGN.md Sec 7).

@@ -3,13 +3,14 @@
 #include <sys/stat.h>
 
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "obs/export.h"
 #include "scenario/corpus.h"
-#include "topo/topology.h"
+#include "topo/presets.h"
 
 namespace mgjoin::scenario {
 
@@ -94,9 +95,6 @@ std::string MakeFaultGroup(const topo::Topology& topo, Rng* rng) {
 }
 
 void ApplyOneMutation(ScenarioSpec* spec, Rng* rng) {
-  static const char* kTopologies[] = {"dgx1", "dgxstation", "dgx2", "single"};
-  static const char* kPolicies[] = {"adaptive",  "direct",  "bandwidth",
-                                    "hopcount",  "latency", "centralized"};
   static const std::uint64_t kTuples[] = {512, 1024, 2048, 4096, 8192, 16384};
   static const std::uint64_t kPacketKb[] = {256, 512, 1024, 2048, 4096};
   static const int kBatches[] = {1, 2, 4, 8, 16};
@@ -122,12 +120,14 @@ void ApplyOneMutation(ScenarioSpec* spec, Rng* rng) {
     case 4:
       // Changing the machine invalidates link-addressed faults and the
       // GPU bound, so reset both.
-      spec->topology = kTopologies[rng->Uniform(4)];
+      spec->topology = topo::kMachinePresets[rng->Uniform(
+          std::size(topo::kMachinePresets))].name;
       spec->faults.clear();
       spec->gpus = 0;
       break;
     case 5:
-      spec->policy = kPolicies[rng->Uniform(6)];
+      spec->policy =
+          net::kPolicyNames[rng->Uniform(std::size(net::kPolicyNames))].name;
       break;
     case 6:
       spec->packet_kb = kPacketKb[rng->Uniform(5)];

@@ -12,17 +12,23 @@ namespace mgjoin::scenario {
 
 /// \brief The invariant-checked outcome of one scenario run.
 ///
-/// A run *passes* only when every check holds:
-///  - the join completes (no deadlock; the auditor's watchdog stays
+/// A run *passes* only when every check holds. Both run kinds check:
+///  - the run completes (no deadlock; the auditor's watchdog stays
 ///    quiet and the engine reports done),
-///  - matches, checksum and the materialized pair set agree with the
-///    single-node ReferenceJoin oracle on the same input,
+///  - the spec's expect_matches assertion (when present) holds,
 ///  - the InvariantAuditor records zero violations,
-///  - the recorded trace is well-formed: it parses back through the
-///    report pipeline and its critical path tiles [0, total] exactly,
-///  - the telemetry exposition is well-formed (OpenMetrics lint) and
-///    its per-flow delivered-bytes totals agree with TransferStats,
-///  - the spec's expect_matches assertion (when present) holds.
+///  - the recorded trace is non-empty, parses back through the report
+///    pipeline and holds the join_total phase span,
+///  - simulated time advanced,
+///  - the telemetry exposition is well-formed (OpenMetrics lint), took
+///    samples when bytes moved, and its per-flow delivered-bytes totals
+///    sum to TransferStats::payload_bytes.
+/// A single-query run adds: matches, checksum and the materialized pair
+/// set agree with the single-node ReferenceJoin oracle, the trace's
+/// critical path tiles [0, total] exactly, and all flows carry one query
+/// id. A multi-query (service) run adds, per query: matches vs its own
+/// oracle, a causal admission timeline, latency measurements, one admit
+/// span in the trace, and flow bytes equal to the query's payload.
 ///
 /// Failures are accumulated, not short-circuited, so one artifact names
 /// every broken invariant at once.
@@ -53,8 +59,9 @@ struct ScenarioVerdict {
   std::string ToText() const;
 };
 
-/// \brief Validates and executes `spec` through exec::Engine under an
-/// always-on InvariantAuditor, and verdicts the run (see
+/// \brief Validates and executes `spec` under an always-on
+/// InvariantAuditor — through exec::Engine for one query, through
+/// svc::QueryScheduler for several — and verdicts the run (see
 /// ScenarioVerdict). Validation errors come back as a failed verdict,
 /// so fuzzers can treat every outcome uniformly.
 ScenarioVerdict RunScenario(const ScenarioSpec& spec);

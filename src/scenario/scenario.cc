@@ -59,18 +59,6 @@ Result<bool> ParseOnOff(const std::string& key, const std::string& v) {
   return Status::InvalidArgument(key + ": '" + v + "' is not on|off");
 }
 
-const std::map<std::string, net::PolicyKind>& PolicyNames() {
-  static const std::map<std::string, net::PolicyKind> kinds{
-      {"adaptive", net::PolicyKind::kAdaptive},
-      {"direct", net::PolicyKind::kDirect},
-      {"bandwidth", net::PolicyKind::kBandwidth},
-      {"hopcount", net::PolicyKind::kHopCount},
-      {"latency", net::PolicyKind::kLatency},
-      {"centralized", net::PolicyKind::kCentralized},
-  };
-  return kinds;
-}
-
 }  // namespace
 
 std::string ScenarioSpec::ToText() const {
@@ -100,10 +88,7 @@ std::string ScenarioSpec::ToText() const {
 }
 
 std::unique_ptr<topo::Topology> ScenarioSpec::MakeTopology() const {
-  if (topology == "dgxstation") return topo::MakeDgxStation();
-  if (topology == "dgx2") return topo::MakeDgx2();
-  if (topology == "single") return topo::MakeSingleGpu();
-  return topo::MakeDgx1V();
+  return topo::MakeMachine(topology);
 }
 
 int ScenarioSpec::ResolvedGpus(const topo::Topology& topo) const {
@@ -111,9 +96,9 @@ int ScenarioSpec::ResolvedGpus(const topo::Topology& topo) const {
 }
 
 net::PolicyKind ScenarioSpec::PolicyKind() const {
-  const auto it = PolicyNames().find(policy);
-  return it == PolicyNames().end() ? net::PolicyKind::kAdaptive
-                                   : it->second;
+  net::PolicyKind kind = net::PolicyKind::kAdaptive;
+  net::ParsePolicy(policy, &kind);
+  return kind;
 }
 
 Result<ScenarioSpec> ParseScenario(const std::string& text) {
@@ -240,19 +225,17 @@ Status ValidateScenario(const ScenarioSpec& spec) {
           "' must not contain whitespace or '/'");
     }
   }
-  if (spec.topology != "dgx1" && spec.topology != "dgxstation" &&
-      spec.topology != "dgx2" && spec.topology != "single") {
-    return Status::InvalidArgument(
-        "topology '" + spec.topology +
-        "' unknown (want dgx1|dgxstation|dgx2|single)");
-  }
-  if (PolicyNames().count(spec.policy) == 0) {
-    return Status::InvalidArgument(
-        "policy '" + spec.policy +
-        "' unknown (want adaptive|direct|bandwidth|hopcount|latency|"
-        "centralized)");
-  }
   const auto topo = spec.MakeTopology();
+  if (topo == nullptr) {
+    return Status::InvalidArgument("topology '" + spec.topology +
+                                   "' unknown (want " +
+                                   NameList(topo::kMachinePresets) + ")");
+  }
+  if (net::PolicyKind unused; !net::ParsePolicy(spec.policy, &unused)) {
+    return Status::InvalidArgument("policy '" + spec.policy +
+                                   "' unknown (want " +
+                                   NameList(net::kPolicyNames) + ")");
+  }
   if (spec.gpus < 0 || spec.gpus > topo->num_gpus()) {
     return Status::InvalidArgument(
         "gpus " + std::to_string(spec.gpus) + " outside [0, " +

@@ -34,7 +34,7 @@ namespace mgjoin::scenario {
 struct ScenarioSpec {
   /// Identifier (no whitespace); becomes the artifact file stem.
   std::string name;
-  /// Machine preset: dgx1 | dgxstation | dgx2 | single.
+  /// Machine preset, a topo::kMachinePresets name.
   std::string topology = "dgx1";
   /// Participating GPUs (dense prefix); 0 = all GPUs of the preset.
   int gpus = 0;
@@ -44,8 +44,7 @@ struct ScenarioSpec {
   double placement_zipf = 0.0;
   /// Zipf factor of key frequency in S (heavy hitters).
   double key_zipf = 0.0;
-  /// Routing policy: adaptive | direct | bandwidth | hopcount |
-  /// latency | centralized.
+  /// Routing policy, a net::kPolicyNames name.
   std::string policy = "adaptive";
   /// Packet payload in KiB.
   std::uint64_t packet_kb = 2048;
@@ -84,7 +83,8 @@ struct ScenarioSpec {
   /// when unset) so a spec file is self-documenting.
   std::string ToText() const;
 
-  /// Builds the spec's topology preset.
+  /// Builds the spec's topology preset (topo::kMachinePresets); nullptr
+  /// for a name ValidateScenario rejects.
   std::unique_ptr<topo::Topology> MakeTopology() const;
 
   /// Dense GPU count after resolving gpus == 0 against the preset.

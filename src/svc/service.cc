@@ -43,6 +43,18 @@ struct QueryState {
 
 }  // namespace
 
+std::vector<QuerySpec> TenantQueries(const data::GenOptions& base, int n) {
+  std::vector<QuerySpec> queries(static_cast<std::size_t>(n));
+  for (int q = 0; q < n; ++q) {
+    QuerySpec& qs = queries[static_cast<std::size_t>(q)];
+    qs.query_id = static_cast<std::uint64_t>(q + 1);
+    qs.gen = base;
+    qs.gen.seed = base.seed + static_cast<std::uint64_t>(q);
+    qs.priority = q % 3;
+  }
+  return queries;
+}
+
 QueryScheduler::QueryScheduler(const topo::Topology* topo,
                                std::vector<int> gpus,
                                ServiceOptions options)

@@ -32,6 +32,13 @@ struct QuerySpec {
   sim::SimTime submit_at = 0;
 };
 
+/// \brief One query per tenant over `base`'s workload: query ids 1..n,
+/// seeds base.seed + q so the tenants' data differs, priority classes
+/// rotating q % 3 so the priority policy has classes to separate, all
+/// submitted at time 0. The shared workload of `mgjoin serve`,
+/// multi-query scenarios and the tenancy bench.
+std::vector<QuerySpec> TenantQueries(const data::GenOptions& base, int n);
+
 /// Configuration of the scheduler (see DESIGN.md Sec 15).
 struct ServiceOptions {
   /// Per-query join configuration (routing policy, transfer knobs,

@@ -1,6 +1,6 @@
 // mgjoin — command-line front end for the MG-Join simulator.
 //
-//   mgjoin topo  [--machine dgx1|dgxstation|dgx2]
+//   mgjoin topo  [--machine dgx1|dgxstation|dgx2|single]
 //   mgjoin join  [--machine M] [--gpus N] [--tuples N] [--policy P]
 //                [--zipf Z] [--key-zipf Z] [--packet-kb N] [--scale S]
 //                [--threads N] [--no-compression]
@@ -22,8 +22,9 @@
 //   mgjoin scenario run  <name|spec-file> [--trace=out.json]
 //
 // Policies: adaptive (default), direct, bandwidth, hopcount, latency,
-// centralized. A `--flag` a subcommand does not list above is an error
-// (exit 1), never silently ignored.
+// centralized (net::kPolicyNames); machines: topo::kMachinePresets. A
+// `--flag` a subcommand does not list above is an error (exit 1), never
+// silently ignored, and so is a numeric flag whose value is not a number.
 //
 // `--trace=out.json` writes a Chrome trace (open in Perfetto /
 // chrome://tracing) of the join's fabric activity: per-GPU DMA-engine
@@ -59,6 +60,7 @@
 // (exit 0 iff every check passed).
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -93,18 +95,51 @@ namespace {
 
 struct Args {
   std::map<std::string, std::string> kv;
+  /// The first flag GetI/GetD could not read whole as a number (they
+  /// return the default for it). Subcommands call BadNumber before they
+  /// run anything.
+  mutable std::string bad_number;
+
   bool Has(const std::string& k) const { return kv.count(k) > 0; }
   std::string Get(const std::string& k, const std::string& dflt) const {
     auto it = kv.find(k);
     return it == kv.end() ? dflt : it->second;
   }
   double GetD(const std::string& k, double dflt) const {
-    auto it = kv.find(k);
-    return it == kv.end() ? dflt : std::atof(it->second.c_str());
+    return GetNumber(k, dflt, [](const char* s, char** end) {
+      return std::strtod(s, end);
+    });
   }
   long long GetI(const std::string& k, long long dflt) const {
+    return GetNumber(k, dflt, [](const char* s, char** end) {
+      return std::strtoll(s, end, 10);
+    });
+  }
+  /// True, after printing the flag, when a value was not a number;
+  /// callers exit 1.
+  bool BadNumber(const char* cmd) const {
+    if (bad_number.empty()) return false;
+    std::fprintf(stderr, "mgjoin %s: --%s wants a number, got '%s'\n", cmd,
+                 bad_number.c_str(), Get(bad_number, "").c_str());
+    return true;
+  }
+
+ private:
+  // Empty input, trailing characters and out-of-range values are all
+  // malformed: atoll-style parsing would read "abc" as 0 and "2x" as 2.
+  template <typename T, typename Parse>
+  T GetNumber(const std::string& k, T dflt, Parse parse) const {
     auto it = kv.find(k);
-    return it == kv.end() ? dflt : std::atoll(it->second.c_str());
+    if (it == kv.end()) return dflt;
+    const char* text = it->second.c_str();
+    char* end = nullptr;
+    errno = 0;
+    const T value = parse(text, &end);
+    if (end == text || *end != '\0' || errno == ERANGE) {
+      if (bad_number.empty()) bad_number = k;
+      return dflt;
+    }
+    return value;
   }
 };
 
@@ -144,39 +179,148 @@ bool KnownFlags(const char* cmd, const Args& args,
 // Unknown --machine / --policy names are errors, never defaults: a typo
 // would otherwise run a different experiment. Both print the valid
 // names; callers exit 1.
-std::unique_ptr<topo::Topology> MakeMachine(const std::string& name) {
-  if (name == "dgx1") return topo::MakeDgx1V();
-  if (name == "dgxstation") return topo::MakeDgxStation();
-  if (name == "dgx2") return topo::MakeDgx2();
-  std::fprintf(stderr, "bad --machine '%s' (want dgx1|dgxstation|dgx2)\n",
-               name.c_str());
-  return nullptr;
+std::unique_ptr<topo::Topology> MakeMachine(const Args& args) {
+  const std::string name = args.Get("machine", "dgx1");
+  auto topo = topo::MakeMachine(name);
+  if (topo == nullptr) {
+    std::fprintf(stderr, "bad --machine '%s' (want %s)\n", name.c_str(),
+                 NameList(topo::kMachinePresets).c_str());
+  }
+  return topo;
 }
 
-bool ParsePolicy(const std::string& p, net::PolicyKind* out) {
-  static const std::pair<const char*, net::PolicyKind> kPolicies[] = {
-      {"adaptive", net::PolicyKind::kAdaptive},
-      {"direct", net::PolicyKind::kDirect},
-      {"bandwidth", net::PolicyKind::kBandwidth},
-      {"hopcount", net::PolicyKind::kHopCount},
-      {"latency", net::PolicyKind::kLatency},
-      {"centralized", net::PolicyKind::kCentralized}};
-  for (const auto& [name, kind] : kPolicies) {
-    if (p == name) {
-      *out = kind;
-      return true;
-    }
-  }
-  std::fprintf(stderr,
-               "bad --policy '%s' (want adaptive|direct|bandwidth|hopcount|"
-               "latency|centralized)\n",
-               p.c_str());
+bool ParsePolicy(const Args& args, net::PolicyKind* out) {
+  const std::string name = args.Get("policy", "adaptive");
+  if (net::ParsePolicy(name, out)) return true;
+  std::fprintf(stderr, "bad --policy '%s' (want %s)\n", name.c_str(),
+               NameList(net::kPolicyNames).c_str());
   return false;
 }
 
+// --gpus, by default every GPU of `topo`; 0, after printing the range,
+// when it is outside 1..N.
+int GpuCount(const Args& args, const topo::Topology& topo) {
+  const long long g = args.GetI("gpus", topo.num_gpus());
+  if (g < 1 || g > topo.num_gpus()) {
+    std::fprintf(stderr, "gpus must be 1..%d\n", topo.num_gpus());
+    return 0;
+  }
+  return static_cast<int>(g);
+}
+
+// --faults=SPEC on `topo`; `out` stays empty without the flag. False,
+// after printing why, when the spec does not parse.
+bool ParseFaults(const Args& args, const topo::Topology& topo,
+                 net::FaultPlan* out) {
+  const std::string spec = args.Get("faults", "");
+  if (spec.empty()) return true;
+  auto plan = net::FaultPlan::Parse(spec, topo);
+  if (!plan.ok()) {
+    std::fprintf(stderr, "bad --faults: %s\n",
+                 plan.status().ToString().c_str());
+    return false;
+  }
+  *out = std::move(plan).value();
+  return true;
+}
+
+// Writes `text` to `path`; false, after printing why, when it cannot.
+bool WriteOut(const char* what, const std::string& path,
+              const std::string& text) {
+  const Status st = obs::WriteTextFile(path, text);
+  if (!st.ok()) {
+    std::fprintf(stderr, "%s write failed: %s\n", what, st.ToString().c_str());
+  }
+  return st.ok();
+}
+
+// --tuples (per GPU, default `tuples`), --zipf and --key-zipf over `g`
+// GPUs.
+data::GenOptions Workload(const Args& args, int g, long long tuples) {
+  data::GenOptions gen;
+  gen.tuples_per_relation =
+      static_cast<std::uint64_t>(args.GetI("tuples", tuples)) * g;
+  gen.num_gpus = g;
+  gen.placement_zipf = args.GetD("zipf", 0.0);
+  gen.key_zipf = args.GetD("key-zipf", 0.0);
+  return gen;
+}
+
+// The --trace, --telemetry, --telemetry-csv, --sample-every and
+// --metrics sinks `join` and `serve` share. A subcommand that does not
+// list one of the flags never sees it set.
+class Sinks {
+ public:
+  // Attaches the sinks the flags ask for to `hooks`. False, after
+  // printing why, on a bad --sample-every.
+  bool Open(const Args& args, obs::ObsHooks* hooks) {
+    trace_path_ = args.Get("trace", "");
+    telemetry_path_ = args.Get("telemetry", "");
+    csv_path_ = args.Get("telemetry-csv", "");
+    print_metrics_ = args.Has("metrics");
+    sim::SimTime sample_every = obs::TelemetrySampler::IntervalFromEnv();
+    if (args.Has("sample-every")) {
+      auto parsed =
+          obs::TelemetrySampler::ParseInterval(args.Get("sample-every", ""));
+      if (!parsed.ok()) {
+        std::fprintf(stderr, "bad --sample-every: %s\n",
+                     parsed.status().ToString().c_str());
+        return false;
+      }
+      sample_every = parsed.value();
+    }
+    telemetry_ = obs::TelemetrySampler(sample_every);
+    const bool telemetry_on = !telemetry_path_.empty() || !csv_path_.empty();
+    if (!trace_path_.empty()) hooks->trace = &trace_;
+    // The OpenMetrics exposition covers the registry too, so --telemetry
+    // implies metrics collection.
+    if (print_metrics_ || telemetry_on) hooks->metrics = &metrics_;
+    if (telemetry_on) hooks->telemetry = &telemetry_;
+    return true;
+  }
+
+  // Writes the files and prints one line per sink; `trace_note` ends the
+  // trace line. False, after printing why, when a file cannot be written.
+  bool Write(const char* trace_note, sim::SimTime makespan) {
+    if (!trace_path_.empty()) {
+      if (!WriteOut("trace", trace_path_, trace_.ToJson())) return false;
+      std::printf("trace             %s (%zu events%s)\n", trace_path_.c_str(),
+                  trace_.num_events(), trace_note);
+    }
+    if (print_metrics_) {
+      std::printf("---- metrics (window = makespan) ----\n%s",
+                  metrics_.Summary(makespan).c_str());
+    }
+    if (!telemetry_path_.empty()) {
+      if (!WriteOut("telemetry", telemetry_path_,
+                    obs::OpenMetricsText(&metrics_, &telemetry_))) {
+        return false;
+      }
+      std::printf("telemetry         %s (%zu series, %zu snapshots)\n",
+                  telemetry_path_.c_str(), telemetry_.series().size(),
+                  telemetry_.ticks());
+    }
+    if (!csv_path_.empty()) {
+      if (!WriteOut("telemetry csv", csv_path_,
+                    obs::TelemetryCsv(telemetry_))) {
+        return false;
+      }
+      std::printf("telemetry csv     %s\n", csv_path_.c_str());
+    }
+    return true;
+  }
+
+ private:
+  std::string trace_path_, telemetry_path_, csv_path_;
+  bool print_metrics_ = false;
+  obs::TraceRecorder trace_;
+  obs::MetricsRegistry metrics_;
+  obs::TelemetrySampler telemetry_;
+};
+
 int CmdTopo(const Args& args) {
   if (!KnownFlags("topo", args, {"machine"})) return 1;
-  auto topo = MakeMachine(args.Get("machine", "dgx1"));
+  auto topo = MakeMachine(args);
   if (topo == nullptr) return 1;
   std::printf("%s", topo->ToString().c_str());
   const auto gpus = topo::AllGpus(*topo);
@@ -200,77 +344,37 @@ int CmdJoin(const Args& args) {
                    "telemetry-csv", "sample-every"})) {
     return 1;
   }
-  auto topo = MakeMachine(args.Get("machine", "dgx1"));
+  auto topo = MakeMachine(args);
   if (topo == nullptr) return 1;
   join::MgJoinOptions opts;
-  if (!ParsePolicy(args.Get("policy", "adaptive"), &opts.policy)) return 1;
-  const int g = static_cast<int>(args.GetI("gpus", topo->num_gpus()));
-  if (g < 1 || g > topo->num_gpus()) {
-    std::fprintf(stderr, "gpus must be 1..%d\n", topo->num_gpus());
-    return 1;
-  }
-  // Host thread count must be applied before the (parallel) generator
-  // runs; 0 keeps the MGJ_THREADS / hardware default.
-  const int threads = static_cast<int>(args.GetI("threads", 0));
-  if (threads > 0) {
-    ThreadPool::SetDefaultThreads(static_cast<std::size_t>(threads));
-  }
-
-  data::GenOptions gen;
-  gen.tuples_per_relation =
-      static_cast<std::uint64_t>(args.GetI("tuples", 1 << 20)) * g;
-  gen.num_gpus = g;
-  gen.placement_zipf = args.GetD("zipf", 0.0);
-  gen.key_zipf = args.GetD("key-zipf", 0.0);
-  auto [r, s] = data::MakeJoinInput(gen);
-
-  opts.host_threads = threads;
+  if (!ParsePolicy(args, &opts.policy)) return 1;
+  const int g = GpuCount(args, *topo);
+  if (g == 0) return 1;
+  const data::GenOptions gen = Workload(args, g, 1 << 20);
+  opts.host_threads = static_cast<int>(args.GetI("threads", 0));
   opts.transfer.packet_bytes =
       static_cast<std::uint64_t>(args.GetI("packet-kb", 2048)) * kKiB;
   opts.use_compression = !args.Has("no-compression");
   opts.virtual_scale = args.GetD("scale", 1.0);
+  if (args.BadNumber("join")) return 1;
 
-  const std::string fault_spec = args.Get("faults", "");
-  if (!fault_spec.empty()) {
-    auto plan = net::FaultPlan::Parse(fault_spec, *topo);
-    if (!plan.ok()) {
-      std::fprintf(stderr, "bad --faults: %s\n",
-                   plan.status().ToString().c_str());
-      return 1;
-    }
-    opts.transfer.faults = std::move(plan).value();
+  if (!ParseFaults(args, *topo, &opts.transfer.faults)) return 1;
+  const bool faulted = !opts.transfer.faults.empty();
+  if (faulted) {
     std::printf("fault plan (%zu events):\n%s",
                 opts.transfer.faults.size(),
                 opts.transfer.faults.ToString(*topo).c_str());
   }
+  Sinks sinks;
+  if (!sinks.Open(args, &opts.transfer.obs)) return 1;
 
-  const std::string trace_path = args.Get("trace", "");
-  const std::string telemetry_path = args.Get("telemetry", "");
-  const std::string telemetry_csv_path = args.Get("telemetry-csv", "");
-  const bool telemetry_on =
-      !telemetry_path.empty() || !telemetry_csv_path.empty();
-  obs::TraceRecorder trace;
-  obs::MetricsRegistry metrics;
-  sim::SimTime sample_every = obs::TelemetrySampler::IntervalFromEnv();
-  if (args.Has("sample-every")) {
-    auto parsed =
-        obs::TelemetrySampler::ParseInterval(args.Get("sample-every", ""));
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "bad --sample-every: %s\n",
-                   parsed.status().ToString().c_str());
-      return 1;
-    }
-    sample_every = parsed.value();
+  // Host thread count must be applied before the (parallel) generator
+  // runs; 0 keeps the MGJ_THREADS / hardware default.
+  if (opts.host_threads > 0) {
+    ThreadPool::SetDefaultThreads(
+        static_cast<std::size_t>(opts.host_threads));
   }
-  obs::TelemetrySampler telemetry(sample_every);
-  if (!trace_path.empty()) opts.transfer.obs.trace = &trace;
-  // The OpenMetrics exposition covers the registry too, so --telemetry
-  // implies metrics collection.
-  if (args.Has("metrics") || telemetry_on) {
-    opts.transfer.obs.metrics = &metrics;
-  }
-  if (telemetry_on) opts.transfer.obs.telemetry = &telemetry;
-
+  auto [r, s] = data::MakeJoinInput(gen);
   join::MgJoin join(topo.get(), topo::FirstNGpus(g), opts);
   auto res = join.Execute(r, s);
   if (!res.ok()) {
@@ -279,43 +383,7 @@ int CmdJoin(const Args& args) {
     return 1;
   }
   const join::JoinResult& out = res.value();
-
-  if (!trace_path.empty()) {
-    const Status st = trace.WriteFile(trace_path);
-    if (!st.ok()) {
-      std::fprintf(stderr, "trace write failed: %s\n",
-                   st.ToString().c_str());
-      return 1;
-    }
-    std::printf("trace             %s (%zu events; open in Perfetto)\n",
-                trace_path.c_str(), trace.num_events());
-  }
-  if (args.Has("metrics")) {
-    std::printf("---- metrics (window = makespan) ----\n%s",
-                metrics.Summary(out.net.Makespan()).c_str());
-  }
-  if (!telemetry_path.empty()) {
-    const Status st = obs::WriteTextFile(
-        telemetry_path, obs::OpenMetricsText(&metrics, &telemetry));
-    if (!st.ok()) {
-      std::fprintf(stderr, "telemetry write failed: %s\n",
-                   st.ToString().c_str());
-      return 1;
-    }
-    std::printf("telemetry         %s (%zu series, %zu snapshots)\n",
-                telemetry_path.c_str(), telemetry.series().size(),
-                telemetry.ticks());
-  }
-  if (!telemetry_csv_path.empty()) {
-    const Status st = obs::WriteTextFile(telemetry_csv_path,
-                                         obs::TelemetryCsv(telemetry));
-    if (!st.ok()) {
-      std::fprintf(stderr, "telemetry csv write failed: %s\n",
-                   st.ToString().c_str());
-      return 1;
-    }
-    std::printf("telemetry csv     %s\n", telemetry_csv_path.c_str());
-  }
+  if (!sinks.Write("; open in Perfetto", out.net.Makespan())) return 1;
   std::printf("policy            %s\n", net::PolicyKindName(opts.policy));
   std::printf("input tuples      %llu (simulated %llu)\n",
               static_cast<unsigned long long>(out.input_tuples),
@@ -331,7 +399,7 @@ int CmdJoin(const Args& args) {
               FormatBytes(out.shuffled_bytes).c_str(),
               out.CompressionRatio());
   std::printf("avg extra hops    %.2f\n", out.net.AvgIntermediateHops());
-  if (!fault_spec.empty()) {
+  if (faulted) {
     std::printf("fault reroutes    %llu (batch aborts %llu, waits %llu, "
                 "escapes %llu)\n",
                 static_cast<unsigned long long>(out.net.fault_reroutes),
@@ -346,9 +414,7 @@ int CmdJoin(const Args& args) {
 // MG-Join queries interleave on one shared fabric behind an admission
 // queue, under the selected link-arbitration policy. Prints the
 // per-query outcome table (latency, queue delay, slowdown-vs-solo) and
-// the SLO quantile line. --inflight and --arbitration fall back to the
-// MGJ_INFLIGHT / MGJ_ARBITRATION environment variables when the flags
-// are absent.
+// the SLO quantile line.
 int CmdServe(const Args& args) {
   if (!KnownFlags("serve", args,
                   {"machine", "gpus", "queries", "inflight", "arbitration",
@@ -356,86 +422,39 @@ int CmdServe(const Args& args) {
                    "trace", "telemetry", "tuples", "zipf", "key-zipf"})) {
     return 1;
   }
-  auto topo = MakeMachine(args.Get("machine", "dgx1"));
+  auto topo = MakeMachine(args);
   if (topo == nullptr) return 1;
-  const int g = static_cast<int>(args.GetI("gpus", topo->num_gpus()));
-  if (g < 1 || g > topo->num_gpus()) {
-    std::fprintf(stderr, "gpus must be 1..%d\n", topo->num_gpus());
-    return 1;
-  }
-  const int queries = static_cast<int>(args.GetI("queries", 8));
+  const int g = GpuCount(args, *topo);
+  if (g == 0) return 1;
+  const long long queries = args.GetI("queries", 8);
+  svc::ServiceOptions opts;
+  opts.inflight_limit = static_cast<int>(args.GetI("inflight", 0));
+  opts.join.virtual_scale = args.GetD("scale", 256.0);
+  opts.join.host_threads = static_cast<int>(args.GetI("threads", 0));
+  const data::GenOptions gen = Workload(args, g, 8192);
+  if (args.BadNumber("serve")) return 1;
   if (queries < 1 || queries > 64) {
     std::fprintf(stderr, "queries must be 1..64\n");
     return 1;
   }
-
-  const char* env_inflight = std::getenv("MGJ_INFLIGHT");
-  long long inflight_dflt =
-      env_inflight != nullptr ? std::atoll(env_inflight) : 0;
-  const char* env_arb = std::getenv("MGJ_ARBITRATION");
-  std::string arb_dflt = env_arb != nullptr ? env_arb : "fifo";
-
-  svc::ServiceOptions opts;
-  opts.inflight_limit = static_cast<int>(args.GetI("inflight", inflight_dflt));
   if (opts.inflight_limit < 0) {
     std::fprintf(stderr, "inflight must be >= 0\n");
     return 1;
   }
-  const std::string arb_text = args.Get("arbitration", arb_dflt);
+  const std::string arb_text = args.Get("arbitration", "fifo");
   if (!net::ParseArbitration(arb_text, &opts.arbitration)) {
     std::fprintf(stderr, "bad --arbitration '%s' (want fifo|fair|priority)\n",
                  arb_text.c_str());
     return 1;
   }
   opts.measure_solo = !args.Has("no-solo");
-  if (!ParsePolicy(args.Get("policy", "adaptive"), &opts.join.policy)) {
-    return 1;
-  }
-  opts.join.virtual_scale = args.GetD("scale", 256.0);
-  const int threads = static_cast<int>(args.GetI("threads", 0));
-  opts.join.host_threads = threads;
-
-  const std::string fault_spec = args.Get("faults", "");
-  if (!fault_spec.empty()) {
-    auto plan = net::FaultPlan::Parse(fault_spec, *topo);
-    if (!plan.ok()) {
-      std::fprintf(stderr, "bad --faults: %s\n",
-                   plan.status().ToString().c_str());
-      return 1;
-    }
-    opts.join.transfer.faults = std::move(plan).value();
-  }
-
-  const std::string trace_path = args.Get("trace", "");
-  const std::string telemetry_path = args.Get("telemetry", "");
-  obs::TraceRecorder trace;
-  obs::MetricsRegistry metrics;
-  obs::TelemetrySampler telemetry(obs::TelemetrySampler::IntervalFromEnv());
-  if (!trace_path.empty()) opts.join.transfer.obs.trace = &trace;
-  if (!telemetry_path.empty()) {
-    opts.join.transfer.obs.metrics = &metrics;
-    opts.join.transfer.obs.telemetry = &telemetry;
-  }
-
-  // One tenant per query: same workload shape, distinct seeds so the
-  // data differs, rotating priority classes for the priority policy.
-  std::vector<svc::QuerySpec> specs;
-  for (int q = 0; q < queries; ++q) {
-    svc::QuerySpec qs;
-    qs.query_id = static_cast<std::uint64_t>(q + 1);
-    qs.gen.tuples_per_relation =
-        static_cast<std::uint64_t>(args.GetI("tuples", 8192)) * g;
-    qs.gen.num_gpus = g;
-    qs.gen.placement_zipf = args.GetD("zipf", 0.0);
-    qs.gen.key_zipf = args.GetD("key-zipf", 0.0);
-    qs.gen.seed = 42 + static_cast<std::uint64_t>(q);
-    qs.priority = q % 3;
-    qs.submit_at = 0;
-    specs.push_back(qs);
-  }
+  if (!ParsePolicy(args, &opts.join.policy)) return 1;
+  if (!ParseFaults(args, *topo, &opts.join.transfer.faults)) return 1;
+  Sinks sinks;
+  if (!sinks.Open(args, &opts.join.transfer.obs)) return 1;
 
   svc::QueryScheduler sched(topo.get(), topo::FirstNGpus(g), opts);
-  auto res = sched.Run(specs);
+  auto res = sched.Run(svc::TenantQueries(gen, static_cast<int>(queries)));
   if (!res.ok()) {
     std::fprintf(stderr, "service run failed: %s\n",
                  res.status().ToString().c_str());
@@ -451,35 +470,12 @@ int CmdServe(const Args& args) {
               FormatBytes(out.net.wire_bytes).c_str());
   std::printf("arbitration paces %llu\n",
               static_cast<unsigned long long>(out.net.arb_paces));
-  if (!fault_spec.empty()) {
+  if (!opts.join.transfer.faults.empty()) {
     std::printf("fault reroutes    %llu (batch aborts %llu)\n",
                 static_cast<unsigned long long>(out.net.fault_reroutes),
                 static_cast<unsigned long long>(out.net.fault_aborts));
   }
-
-  if (!trace_path.empty()) {
-    const Status st = trace.WriteFile(trace_path);
-    if (!st.ok()) {
-      std::fprintf(stderr, "trace write failed: %s\n",
-                   st.ToString().c_str());
-      return 1;
-    }
-    std::printf("trace             %s (%zu events)\n", trace_path.c_str(),
-                trace.num_events());
-  }
-  if (!telemetry_path.empty()) {
-    const Status st = obs::WriteTextFile(
-        telemetry_path, obs::OpenMetricsText(&metrics, &telemetry));
-    if (!st.ok()) {
-      std::fprintf(stderr, "telemetry write failed: %s\n",
-                   st.ToString().c_str());
-      return 1;
-    }
-    std::printf("telemetry         %s (%zu series, %zu snapshots)\n",
-                telemetry_path.c_str(), telemetry.series().size(),
-                telemetry.ticks());
-  }
-  return 0;
+  return sinks.Write("", out.tenancy.makespan) ? 0 : 1;
 }
 
 int CmdTpch(const Args& args) {
@@ -489,7 +485,8 @@ int CmdTpch(const Args& args) {
   const std::string which = args.Get("query", "all");
   const double sf = args.GetD("sf", 0.05);
   const double vsf = args.GetD("virtual-sf", 250.0);
-  auto topo = MakeMachine(args.Get("machine", "dgx1"));
+  if (args.BadNumber("tpch")) return 1;
+  auto topo = MakeMachine(args);
   if (topo == nullptr) return 1;
   const auto gpus = topo::AllGpus(*topo);
   const tpch::TpchData db = tpch::GenerateTpch(sf, topo->num_gpus());
@@ -534,6 +531,8 @@ int CmdReport(int argc, char** argv) {
   }
   const Args args = ParseArgs(argc, argv, 3);
   if (!KnownFlags("report", args, {"timeline", "saturation"})) return 1;
+  const double threshold = args.GetD("saturation", 0.9);
+  if (args.BadNumber("report")) return 1;
   const auto text = obs::ReadTextFile(argv[2]);
   if (!text.ok()) {
     std::fprintf(stderr, "%s\n", text.status().ToString().c_str());
@@ -549,7 +548,6 @@ int CmdReport(int argc, char** argv) {
       obs::report::BuildRunReport(events.value());
   std::printf("%s", rep.ToText().c_str());
   if (args.Has("timeline")) {
-    const double threshold = args.GetD("saturation", 0.9);
     std::printf("%s",
                 obs::report::TimelineText(rep.congestion, threshold).c_str());
   }
@@ -596,12 +594,7 @@ int CmdScenario(int argc, char** argv) {
                 verdict.ToText().c_str());
     const std::string trace_path = args.Get("trace", "");
     if (!trace_path.empty() && !verdict.trace_json.empty()) {
-      const Status st = obs::WriteTextFile(trace_path, verdict.trace_json);
-      if (!st.ok()) {
-        std::fprintf(stderr, "trace write failed: %s\n",
-                     st.ToString().c_str());
-        return 1;
-      }
+      if (!WriteOut("trace", trace_path, verdict.trace_json)) return 1;
       std::printf("trace written to %s\n", trace_path.c_str());
     }
     return verdict.passed ? 0 : 1;
@@ -618,9 +611,8 @@ void Usage() {
   std::fprintf(stderr,
                "usage: mgjoin <topo|join|serve|tpch|report|scenario> "
                "[--flag value ...]\n"
-               "  topo  --machine dgx1|dgxstation|dgx2\n"
-               "  join  --gpus N --tuples N --policy adaptive|direct|"
-               "bandwidth|hopcount|latency|centralized\n"
+               "  topo  --machine %s\n"
+               "  join  --gpus N --tuples N --policy %s\n"
                "        --zipf Z --key-zipf Z --packet-kb N --scale S "
                "--no-compression\n"
                "        --threads N (host worker threads; 0 = MGJ_THREADS"
@@ -630,10 +622,8 @@ void Usage() {
                "--sample-every=250us\n"
                "        --faults=down:gpu0-gpu3:@5ms,degrade:qpi0:0.5:@10ms,"
                "flap:nvlink2:@1ms:500usx3\n"
-               "  serve --queries N --inflight N (0 = unlimited; env "
-               "MGJ_INFLIGHT)\n"
-               "        --arbitration fifo|fair|priority (env "
-               "MGJ_ARBITRATION)\n"
+               "  serve --queries N --inflight N (0 = unlimited)\n"
+               "        --arbitration fifo|fair|priority\n"
                "        concurrent joins on one shared fabric; prints "
                "per-query latency,\n"
                "        queue delay, slowdown-vs-solo and SLO quantiles\n"
@@ -647,7 +637,9 @@ void Usage() {
                "  scenario list | show <name> | run <name|spec-file> "
                "[--trace=out.json]\n"
                "        invariant-checked adversarial scenario runs "
-               "(see scenario/corpus.cc)\n");
+               "(see scenario/corpus.cc)\n",
+               NameList(topo::kMachinePresets).c_str(),
+               NameList(net::kPolicyNames).c_str());
 }
 
 }  // namespace

@@ -2,8 +2,10 @@
 #define MGJOIN_TOPO_PRESETS_H_
 
 #include <memory>
+#include <string_view>
 #include <vector>
 
+#include "common/name_table.h"
 #include "topo/topology.h"
 
 namespace mgjoin::topo {
@@ -29,6 +31,26 @@ std::unique_ptr<Topology> MakeSingleGpu();
 /// motivates scaling to 16-GPU servers; this preset lets the routing
 /// experiments run beyond the DGX-1.
 std::unique_ptr<Topology> MakeDgx2();
+
+/// The machine names `mgjoin --machine` and a scenario spec's `topology`
+/// accept. The scenario fuzzer draws by index, so the order is part of
+/// its reproducibility.
+struct MachinePreset {
+  const char* name;
+  std::unique_ptr<Topology> (*make)();
+};
+inline constexpr MachinePreset kMachinePresets[] = {
+    {"dgx1", &MakeDgx1V},
+    {"dgxstation", &MakeDgxStation},
+    {"dgx2", &MakeDgx2},
+    {"single", &MakeSingleGpu},
+};
+
+/// Builds the preset called `name`; nullptr when no preset has that name.
+inline std::unique_ptr<Topology> MakeMachine(std::string_view name) {
+  const MachinePreset* m = FindName(kMachinePresets, name);
+  return m == nullptr ? nullptr : m->make();
+}
 
 /// \brief The dense GPU indices participating in an experiment on the
 /// DGX-1, e.g. {0,3,4} in Figure 5a. Order matters for data placement.
