@@ -41,7 +41,7 @@ svc::ServiceResult RunService(const topo::Topology* topo,
   if (report.enabled()) {
     report.SetTopology(*topo, static_cast<int>(gpus.size()));
     const double secs = sim::ToSeconds(res.tenancy.makespan);
-    report.AddRun(env.EventsSince(mark),
+    report.AddRun(env.TakeEventsSince(mark),
                   secs <= 0 ? 0.0
                             : static_cast<double>(res.net.payload_bytes) /
                                   secs);

@@ -117,9 +117,15 @@ class EnvObs {
 
   /// Bookmark for slicing one run's events out of the shared recorder.
   std::size_t EventsRecorded() const { return trace_.num_events(); }
-  std::vector<obs::TraceEvent> EventsSince(std::size_t from) const {
-    return capture_ ? trace_.ExportEvents(from)
-                    : std::vector<obs::TraceEvent>{};
+  /// The events recorded since bookmark `from`. Without MGJ_TRACE no
+  /// file needs them afterwards, so the recorder drops every event: a
+  /// figure sweep then holds one run's events at a time, not all of
+  /// them (fig09 at scale 1 peaked at 4.6 GB that way).
+  std::vector<obs::TraceEvent> TakeEventsSince(std::size_t from) {
+    if (!capture_) return {};
+    std::vector<obs::TraceEvent> events = trace_.ExportEvents(from);
+    if (trace_path_.empty()) trace_.ClearEvents();
+    return events;
   }
 
   /// Writes the trace file / prints metrics. Idempotent; runs from the
@@ -328,7 +334,7 @@ inline join::JoinResult RunJoin(const topo::Topology* topo,
   BenchReport& report = BenchReport::Instance();
   if (report.enabled()) {
     report.SetTopology(*topo, static_cast<int>(gpus.size()));
-    report.AddRun(env.EventsSince(mark), res.Throughput());
+    report.AddRun(env.TakeEventsSince(mark), res.Throughput());
   }
   return res;
 }
@@ -413,7 +419,7 @@ inline DistributionRun RunDistribution(const topo::Topology* topo,
   BenchReport& report = BenchReport::Instance();
   if (report.enabled()) {
     report.SetTopology(*topo, static_cast<int>(gpus.size()));
-    report.AddRun(env.EventsSince(mark), 0.0);
+    report.AddRun(env.TakeEventsSince(mark), 0.0);
   }
   return run;
 }

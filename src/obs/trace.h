@@ -85,6 +85,8 @@ class TraceRecorder {
   void Counter(std::string name, sim::SimTime when, std::uint64_t value);
 
   std::size_t num_events() const { return events_.size(); }
+  /// Drops every recorded event; tracks keep their ids.
+  void ClearEvents() { events_.clear(); }
   std::size_t num_tracks() const { return tracks_.size(); }
 
   /// \brief Events recorded since event index `from`, in recording
