@@ -379,7 +379,7 @@ std::vector<Flow> AllToAll(int g, std::uint64_t bytes) {
   std::uint64_t id = 0;
   for (int a = 0; a < g; ++a) {
     for (int b = 0; b < g; ++b) {
-      if (a != b) flows.push_back(Flow{id++, a, b, bytes, 0, 0.0, {}});
+      if (a != b) flows.push_back(Flow{id++, a, b, bytes, 0, 0.0, 0, {}});
     }
   }
   return flows;
@@ -474,7 +474,7 @@ TEST_F(EngineFaultTest, IdenticalFaultPlansReplayByteIdentically) {
 // route; a down/restore forces the sender to sit out the outage on the
 // fault-retry poll (watchdog-visible progress) and finish afterwards.
 TEST_F(EngineFaultTest, IsolatedPairBlocksUntilRestore) {
-  const std::vector<Flow> flows = {Flow{1, 0, 1, 64 * kMiB, 0, 0.0, {}}};
+  const std::vector<Flow> flows = {Flow{1, 0, 1, 64 * kMiB, 0, 0.0, 0, {}}};
   last_run_ = RunFaulted(PolicyKind::kAdaptive, {0, 1}, flows,
                          "down:gpu0-gpu1:@200us,restore:gpu0-gpu1:@5ms");
   ExpectExact(last_run_, flows);
@@ -489,7 +489,7 @@ TEST_F(EngineFaultTest, IsolatedPairBlocksUntilRestore) {
 // Static policies pin a route up front; when its link is already dead
 // they must fall back to the best surviving route instead of wedging.
 TEST_F(EngineFaultTest, DirectPolicyFallsBackToSurvivingRoute) {
-  const std::vector<Flow> flows = {Flow{1, 0, 3, 16 * kMiB, 0, 0.0, {}}};
+  const std::vector<Flow> flows = {Flow{1, 0, 3, 16 * kMiB, 0, 0.0, 0, {}}};
   last_run_ = RunFaulted(PolicyKind::kDirect, {0, 1, 2, 3}, flows,
                          "down:gpu0-gpu3:@0ms");
   ExpectExact(last_run_, flows);
@@ -506,7 +506,7 @@ TEST_F(EngineFaultTest, FlappingLinkDeliversEverything) {
 }
 
 TEST_F(EngineFaultTest, DegradedLinkSlowsButStaysExact) {
-  const std::vector<Flow> flows = {Flow{1, 0, 1, 32 * kMiB, 0, 0.0, {}}};
+  const std::vector<Flow> flows = {Flow{1, 0, 1, 32 * kMiB, 0, 0.0, 0, {}}};
   const FaultRun healthy =
       RunFaulted(PolicyKind::kAdaptive, {0, 1}, flows, "");
   last_run_ = RunFaulted(PolicyKind::kAdaptive, {0, 1}, flows,
@@ -534,7 +534,7 @@ TEST_F(EngineFaultTest, WatchdogFlagsPermanentStrand) {
       FaultPlan::Parse("down:gpu0-gpu1:@100us", *topo).ValueOrDie();
   auto policy = MakePolicy(PolicyKind::kAdaptive, options.max_intermediates);
   TransferEngine eng(&s, topo.get(), {0, 1}, policy.get(), options);
-  eng.AddFlow(Flow{1, 0, 1, 64 * kMiB, 0, 0.0, {}});
+  eng.AddFlow(Flow{1, 0, 1, 64 * kMiB, 0, 0.0, 0, {}});
   eng.Start();
   s.Run();  // terminates: the watchdog disarms after declaring deadlock
   EXPECT_FALSE(eng.AllDone());

@@ -292,7 +292,7 @@ net::TransferStats RunShuffle(ObsHooks hooks, int g = 4,
   for (int a = 0; a < g; ++a) {
     for (int b = 0; b < g; ++b) {
       if (a == b) continue;
-      eng.AddFlow(net::Flow{id++, a, b, 8 * kMiB + a * 64 + b, 0, 0.0, {}});
+      eng.AddFlow(net::Flow{id++, a, b, 8 * kMiB + a * 64 + b, 0, 0.0, 0, {}});
     }
   }
   eng.Start();
@@ -661,7 +661,7 @@ TEST(AuditTest, HealthyEngineRunPassesAllChecks) {
   std::uint64_t id = 0;
   for (int a = 0; a < 4; ++a) {
     for (int b = 0; b < 4; ++b) {
-      if (a != b) eng.AddFlow(net::Flow{id++, a, b, 16 * kMiB, 0, 0.0, {}});
+      if (a != b) eng.AddFlow(net::Flow{id++, a, b, 16 * kMiB, 0, 0.0, 0, {}});
     }
   }
   eng.Start();
@@ -683,7 +683,7 @@ TEST(AuditTest, DetectsInjectedRingOverclaim) {
   std::vector<std::string> failures;
   eng.auditor().set_failure_handler(
       [&failures](const std::string& m) { failures.push_back(m); });
-  eng.AddFlow(net::Flow{0, 0, 1, 16 * kMiB, 0, 0.0, {}});
+  eng.AddFlow(net::Flow{0, 0, 1, 16 * kMiB, 0, 0.0, 0, {}});
   eng.Start();
   s.Run();
   ASSERT_TRUE(eng.AllDone());

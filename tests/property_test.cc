@@ -64,7 +64,7 @@ TEST_P(NetConservationTest, EveryByteDeliveredOnce) {
       if (a == b) continue;
       const std::uint64_t bytes = 1 + rng.Uniform(24 * kMiB);
       expected[id] = bytes;
-      eng.AddFlow(net::Flow{id++, gpus[a], gpus[b], bytes, 0, 0.0, {}});
+      eng.AddFlow(net::Flow{id++, gpus[a], gpus[b], bytes, 0, 0.0, 0, {}});
     }
   }
   eng.Start();
@@ -154,7 +154,7 @@ TEST_P(FaultScheduleFuzzTest, SurvivablePlansDeliverEverything) {
       if (a == b) continue;
       const std::uint64_t bytes = 1 + rng.Uniform(4 * kMiB);
       expected[id] = bytes;
-      eng.AddFlow(net::Flow{id++, a, b, bytes, 0, 0.0, {}});
+      eng.AddFlow(net::Flow{id++, a, b, bytes, 0, 0.0, 0, {}});
     }
   }
   eng.Start();
