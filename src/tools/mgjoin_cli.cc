@@ -61,6 +61,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -234,16 +235,33 @@ bool WriteOut(const char* what, const std::string& path,
   return st.ok();
 }
 
-// --tuples (per GPU, default `tuples`), --zipf and --key-zipf over `g`
-// GPUs.
-data::GenOptions Workload(const Args& args, int g, long long tuples) {
-  data::GenOptions gen;
-  gen.tuples_per_relation =
-      static_cast<std::uint64_t>(args.GetI("tuples", tuples)) * g;
-  gen.num_gpus = g;
-  gen.placement_zipf = args.GetD("zipf", 0.0);
-  gen.key_zipf = args.GetD("key-zipf", 0.0);
-  return gen;
+// Integer flag --`flag` (`dflt` when absent) into `out`. False, after
+// printing the range, when it lies outside [lo, hi]; callers exit 1. A
+// value that is not a number reads as `dflt` and is left to BadNumber.
+bool IntInRange(const Args& args, const char* cmd, const char* flag,
+                long long dflt, long long lo, long long hi, long long* out) {
+  *out = args.GetI(flag, dflt);
+  if (*out >= lo && *out <= hi) return true;
+  std::fprintf(stderr, "mgjoin %s: --%s must be %lld..%lld, got %lld\n", cmd,
+               flag, lo, hi, *out);
+  return false;
+}
+
+// --tuples per GPU (default `dflt`), --zipf and --key-zipf over `g` GPUs.
+// False, after printing the range, when the tuples of a relation would
+// not fit the generator's 32-bit record ids.
+bool Workload(const Args& args, const char* cmd, int g, long long dflt,
+              data::GenOptions* gen) {
+  long long tuples = 0;
+  if (!IntInRange(args, cmd, "tuples", dflt, 1, ((1ll << 32) - 1) / g,
+                  &tuples)) {
+    return false;
+  }
+  gen->tuples_per_relation = static_cast<std::uint64_t>(tuples) * g;
+  gen->num_gpus = g;
+  gen->placement_zipf = args.GetD("zipf", 0.0);
+  gen->key_zipf = args.GetD("key-zipf", 0.0);
+  return true;
 }
 
 // The --trace, --telemetry, --telemetry-csv, --sample-every and
@@ -350,10 +368,16 @@ int CmdJoin(const Args& args) {
   if (!ParsePolicy(args, &opts.policy)) return 1;
   const int g = GpuCount(args, *topo);
   if (g == 0) return 1;
-  const data::GenOptions gen = Workload(args, g, 1 << 20);
+  data::GenOptions gen;
+  // A packet's payload is a 32-bit byte count.
+  long long packet_kb = 0;
+  if (!Workload(args, "join", g, 1 << 20, &gen) ||
+      !IntInRange(args, "join", "packet-kb", 2048, 1,
+                  ((1ll << 32) - 1) / kKiB, &packet_kb)) {
+    return 1;
+  }
   opts.host_threads = static_cast<int>(args.GetI("threads", 0));
-  opts.transfer.packet_bytes =
-      static_cast<std::uint64_t>(args.GetI("packet-kb", 2048)) * kKiB;
+  opts.transfer.packet_bytes = static_cast<std::uint64_t>(packet_kb) * kKiB;
   opts.use_compression = !args.Has("no-compression");
   opts.virtual_scale = args.GetD("scale", 1.0);
   if (args.BadNumber("join")) return 1;
@@ -426,21 +450,19 @@ int CmdServe(const Args& args) {
   if (topo == nullptr) return 1;
   const int g = GpuCount(args, *topo);
   if (g == 0) return 1;
-  const long long queries = args.GetI("queries", 8);
+  data::GenOptions gen;
+  long long queries = 0;
+  long long inflight = 0;
+  if (!Workload(args, "serve", g, 8192, &gen) ||
+      !IntInRange(args, "serve", "queries", 8, 1, 64, &queries) ||
+      !IntInRange(args, "serve", "inflight", 0, 0, INT_MAX, &inflight)) {
+    return 1;
+  }
   svc::ServiceOptions opts;
-  opts.inflight_limit = static_cast<int>(args.GetI("inflight", 0));
+  opts.inflight_limit = static_cast<int>(inflight);
   opts.join.virtual_scale = args.GetD("scale", 256.0);
   opts.join.host_threads = static_cast<int>(args.GetI("threads", 0));
-  const data::GenOptions gen = Workload(args, g, 8192);
   if (args.BadNumber("serve")) return 1;
-  if (queries < 1 || queries > 64) {
-    std::fprintf(stderr, "queries must be 1..64\n");
-    return 1;
-  }
-  if (opts.inflight_limit < 0) {
-    std::fprintf(stderr, "inflight must be >= 0\n");
-    return 1;
-  }
   const std::string arb_text = args.Get("arbitration", "fifo");
   if (!net::ParseArbitration(arb_text, &opts.arbitration)) {
     std::fprintf(stderr, "bad --arbitration '%s' (want fifo|fair|priority)\n",
