@@ -677,11 +677,10 @@ void BM_TransferEngineShuffleSampled(benchmark::State& state) {
 }
 BENCHMARK(BM_TransferEngineShuffleSampled);
 
-// Saturated all-to-all in the shape of net_test's
-// BusySendersParkTheirRingSyncs: DGX-1V, default options, adaptive,
-// 56 flows x 512 MiB (14,336 packets). Senders stay busy, so their
-// ring-sync chains park; the counters show the events and ring syncs
-// per packet that the run needed.
+// Saturated all-to-all: DGX-1V, default options, adaptive, 56 flows x
+// 512 MiB (14,336 packets). Senders stay busy, so their ring-sync chains
+// are suspended and settled at engine releases; the counters show the
+// events and ring syncs per packet that the run needed.
 void BM_TransferEngineAllToAll(benchmark::State& state) {
   auto topo = topo::MakeDgx1V();
   std::uint64_t packets = 0;

@@ -52,7 +52,6 @@ class HeapQueue {
   bool Empty() const { return heap_.empty(); }
   std::size_t size() const { return heap_.size(); }
   SimTime PeekWhen() const { return heap_.front().when; }
-  std::uint64_t PeekKey() const { return heap_.front().seq; }
   Event PopNext() {
     std::pop_heap(heap_.begin(), heap_.end(), EventAfter{});
     Event ev = std::move(heap_.back());
@@ -138,17 +137,6 @@ class CalendarQueue {
       return t;
     }
     return PeekWhenSlow();
-  }
-
-  /// Seq of the next event to pop. Requires a PeekWhen() since the
-  /// last push or pop (which loads the next bucket).
-  std::uint64_t PeekKey() const {
-    if (cursor_ < sorted_.size() &&
-        (incoming_.empty() ||
-         !EventBefore(incoming_.front(), sorted_[cursor_]))) {
-      return sorted_[cursor_].seq;
-    }
-    return incoming_.front().seq;
   }
 
   /// Removes and returns the globally minimum (when, seq) event.

@@ -1,7 +1,5 @@
 #include "sim/simulator.h"
 
-#include <algorithm>
-
 namespace mgjoin::sim {
 
 void Simulator::ObserveUpTo(SimTime t) {
@@ -33,11 +31,7 @@ SimTime Simulator::RunLoop(Q& queue, SimTime until, bool bounded) {
     // one-pop-per-iteration loop ordered them.
     do {
       ++events_processed_;
-      current_key_ = queue.PeekKey();
-      if (log_enabled_) log_.push_back({now_, current_key_, next_key()});
-      in_event_ = true;
       queue.InvokeNext();
-      in_event_ = false;
     } while (!queue.Empty() && queue.PeekWhen() == now_);
   }
   if (bounded && now_ < until) {
@@ -47,20 +41,6 @@ SimTime Simulator::RunLoop(Q& queue, SimTime until, bool bounded) {
     now_ = until;
   }
   return now_;
-}
-
-void Simulator::TrimExecutionLog(int client, SimTime before) {
-  log_horizons_[client] = before;
-  before = *std::min_element(log_horizons_.begin(), log_horizons_.end());
-  while (log_start_ < log_.size() && log_[log_start_].when < before) {
-    ++log_start_;
-  }
-  // Compact once the dead prefix outweighs the live entries, so the
-  // vector's memory stays proportional to the retained window.
-  if (log_start_ > 1024 && log_start_ * 2 > log_.size()) {
-    log_.erase(log_.begin(), log_.begin() + log_start_);
-    log_start_ = 0;
-  }
 }
 
 SimTime Simulator::Run() {

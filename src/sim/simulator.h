@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <functional>
 #include <utility>
-#include <vector>
 
 #include "common/logging.h"
 #include "sim/event_fn.h"
@@ -22,9 +21,8 @@ enum class QueueKind {
 
 /// \brief Deterministic discrete-event simulator.
 ///
-/// Events are closures ordered by (time, sequence key); a plain push gets
-/// key 2n for the n-th push, so ties are broken by insertion order and
-/// runs are exactly reproducible. The
+/// Events are closures ordered by (time, insertion sequence); ties are
+/// broken by insertion order so runs are exactly reproducible. The
 /// network layer, the GPU kernel models and the join drivers all advance
 /// this single clock.
 ///
@@ -61,62 +59,6 @@ class Simulator {
   void ScheduleAt(SimTime when, F&& fn) {
     PushEvent(when, EventFn(&arena_, std::forward<F>(fn)));
   }
-
-  /// \brief Schedules `fn` at `when` with an explicit, odd sequence key.
-  ///
-  /// Key `k - 1` (k = a value next_key() returned earlier) sorts the
-  /// event after every plain push made before next_key() was k and
-  /// before every later one: exactly where a plain push made at that
-  /// moment would have gone. A component that skipped scheduling an
-  /// event (see AddExecutionLogClient) reinstates it late this way. The
-  /// event must not sort before the running one. Callers keep keys
-  /// unique.
-  template <typename F>
-  void ScheduleAtKey(SimTime when, std::uint64_t key, F&& fn) {
-    MGJ_CHECK(key % 2 == 1 && key < next_key()) << "bad event key " << key;
-    MGJ_CHECK(when > now_ || (when == now_ && key > current_key_))
-        << "keyed event sorts before the running one";
-    PushKeyed(when, key, EventFn(&arena_, std::forward<F>(fn)));
-  }
-
-  /// Key the next plain push will get (always even).
-  std::uint64_t next_key() const { return 2 * next_seq_; }
-  /// Key of the event being run (meaningful inside a handler).
-  std::uint64_t current_key() const { return current_key_; }
-  /// True while Run()/RunUntil() is dispatching an event.
-  bool in_event() const { return in_event_; }
-
-  /// \brief One dispatched event in the execution log: its time, its
-  /// key, and next_key() just before it ran.
-  struct Executed {
-    SimTime when;
-    std::uint64_t key;
-    std::uint64_t next_key_before;
-  };
-
-  /// \brief Starts recording every dispatched event; returns a client
-  /// id for TrimExecutionLog.
-  ///
-  /// The log lets a component that skips scheduling some of its events
-  /// place each skipped event afterwards: where it falls among the
-  /// events that did run, and which next_key() it would have been
-  /// scheduled at. Entries are in dispatch order, so sorted by
-  /// (when, key). Entries go only once every client is done with them.
-  int AddExecutionLogClient() {
-    log_enabled_ = true;
-    log_horizons_.push_back(0);
-    return static_cast<int>(log_horizons_.size()) - 1;
-  }
-  /// Dispatched events not yet trimmed, oldest first.
-  const Executed* execution_log_begin() const {
-    return log_.data() + log_start_;
-  }
-  const Executed* execution_log_end() const {
-    return log_.data() + log_.size();
-  }
-  std::size_t execution_log_size() const { return log_.size() - log_start_; }
-  /// Client `client` no longer needs entries older than `before`.
-  void TrimExecutionLog(int client, SimTime before);
 
   /// Runs events until the queue is empty. Returns the final time.
   SimTime Run();
@@ -167,15 +109,12 @@ class Simulator {
 
  private:
   void PushEvent(SimTime when, EventFn&& fn) {
-    PushKeyed(when, 2 * next_seq_++, std::move(fn));
-  }
-  void PushKeyed(SimTime when, std::uint64_t key, EventFn&& fn) {
     MGJ_CHECK(when >= now_)
         << "scheduling into the past: " << when << " < " << now_;
     if (kind_ == QueueKind::kCalendar) {
-      calendar_.Push(when, key, std::move(fn));
+      calendar_.Push(when, next_seq_++, std::move(fn));
     } else {
-      heap_.Push(when, key, std::move(fn));
+      heap_.Push(when, next_seq_++, std::move(fn));
     }
   }
   template <typename Q>
@@ -185,12 +124,6 @@ class Simulator {
   QueueKind kind_;
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t current_key_ = 0;
-  bool in_event_ = false;
-  bool log_enabled_ = false;
-  std::vector<Executed> log_;
-  std::size_t log_start_ = 0;
-  std::vector<SimTime> log_horizons_;  // per client
   std::uint64_t events_processed_ = 0;
   SimTime observer_interval_ = 0;
   SimTime next_observation_ = 0;
