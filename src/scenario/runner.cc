@@ -176,7 +176,7 @@ KindRun RunSingleJoin(const ScenarioSpec& spec, const topo::Topology& topo,
     v->failures.push_back("pair-set checksum mismatch vs reference join");
   }
 
-  KindRun run{true, out.stats.net.payload_bytes};
+  KindRun run{true, out.stats.net.payload_bytes, {}, {}};
   run.check_trace = [](const std::vector<obs::TraceEvent>& events,
                        ScenarioVerdict* v) {
     const obs::report::RunReport rep = obs::report::BuildRunReport(events);
@@ -273,7 +273,7 @@ KindRun RunService(const ScenarioSpec& spec, const topo::Topology& topo,
     v->failures.push_back("summed checksum mismatch vs reference joins");
   }
 
-  KindRun run{true, out.net.payload_bytes};
+  KindRun run{true, out.net.payload_bytes, {}, {}};
   // The svc layer emits one admit span per query; the per-GPU phase
   // tiling is a single-query notion.
   run.check_trace = [n = queries.size()](
